@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Solver-session gate: device-resident iteration vs one-shot requests.
 
-Four phases:
+Five phases:
 
 * **one-shot** — the pre-session client: every power-iteration step is
   submitted as its own one-shot :class:`SpMVRequest` and dispatched the
@@ -16,13 +16,21 @@ Four phases:
   for every registered solver program;
 * **crash-failover** — sessions on a fault-injected cluster that loses
   two of three devices mid-run; every surviving session must converge
-  to the byte-identical fault-free answer.
+  to the byte-identical fault-free answer;
+* **replay** — the functional simulator alone: the timing matrix's
+  schedule through the unit-by-unit reference walk, compiled into a
+  replay plan, and replayed from the cached plan; then a corpus sweep
+  (every registered scheme) of one-shot ``execute_schedule`` (compile
+  + run) against the walk.
 
 The gate (CI) requires the session's amortized per-iteration latency —
 wall clock over the whole open/step/fetch lifecycle divided by
 iterations — to beat the one-shot client's by ``--gate`` × (default
 5.0), byte-identical results everywhere, and at least one observed
-failover in the crash phase.
+failover in the crash phase.  The replay phase requires the cached
+plan to run at least 10× faster than the walk, one-shot compile + run
+to be no slower than the walk on the timing matrix and over the corpus,
+and bit-identical outputs.
 
 The timing matrix is ``mycielskian12``: dense enough that CrHCS
 schedule construction dominates a single simulate step, which is
@@ -49,15 +57,20 @@ from repro.cluster import Cluster
 from repro.cluster.faults import FaultPlan, FaultSpec
 from repro.core import ChasonAccelerator
 from repro.matrices import laplacian_1d
+from repro.matrices.collection import corpus_specs
 from repro.pipeline.runner import PipelineRunner
-from repro.scheduling.registry import get_scheme
+from repro.scheduling.registry import get_scheme, registered_schemes
 from repro.serving import ServingEngine, SpMVRequest
 from repro.sessions import SessionManager, solver_programs
+from repro.sim import compile_plan, execute_schedule
+from repro.sim.reference import execute_reference
 from repro.solvers import conjugate_gradient, jacobi, power_iteration
 from repro.solvers.steps import power_init, power_step
 from repro.telemetry import write_manifest
 
 DEFAULT_GATE = 5.0
+#: Cached replay plan vs reference walk, per execution.
+REPLAY_GATE = 10.0
 TIMING_MATRIX = "mycielskian12"
 
 
@@ -185,6 +198,69 @@ def run_crash_failover(sessions: int):
     }
 
 
+def _best(fn, repeats: int):
+    """``(seconds, result)`` of the fastest of ``repeats`` calls."""
+    best, result = float("inf"), None
+    for _ in range(repeats):
+        began = time.perf_counter()
+        result = fn()
+        best = min(best, time.perf_counter() - began)
+    return best, result
+
+
+def run_replay(quick: bool):
+    """Reference walk vs replay plan, on the timing matrix and a corpus.
+
+    Times are the best of several calls, so a slow spell of a shared
+    host inflates neither side.
+    """
+    repeats = 3
+    spec = get_scheme("crhcs")
+    schedule = PipelineRunner().schedule(
+        TIMING_MATRIX, spec, spec.default_config
+    ).schedule
+    x = np.random.default_rng(0).normal(size=schedule.n_cols)
+    x = x.astype(np.float32)
+    walk_s, walk = _best(lambda: execute_reference(schedule, x), repeats)
+    compile_s, plan = _best(lambda: compile_plan(schedule), repeats)
+    run_s, replayed = _best(lambda: plan.run(x), 5 * repeats)
+    oneshot_s, oneshot = _best(lambda: execute_schedule(schedule, x),
+                               repeats)
+    identical = (replayed.y.tobytes() == walk.y.tobytes()
+                 == oneshot.y.tobytes())
+
+    corpus_walk_s = corpus_oneshot_s = 0.0
+    cases = 0
+    for corpus_spec in corpus_specs(count=8 if quick else 30,
+                                    nnz_cap=4_000):
+        matrix = corpus_spec.generate()
+        vector = np.random.default_rng(corpus_spec.index).normal(
+            size=matrix.n_cols).astype(np.float32)
+        for name in registered_schemes():
+            scheme = get_scheme(name)
+            tiled = scheme.scheduler(matrix, scheme.default_config)
+            seconds, walked = _best(
+                lambda: execute_reference(tiled, vector), 1)
+            corpus_walk_s += seconds
+            seconds, replayed = _best(
+                lambda: execute_schedule(tiled, vector), 1)
+            corpus_oneshot_s += seconds
+            identical &= replayed.y.tobytes() == walked.y.tobytes()
+            cases += 1
+    return {
+        "walk_ms": round(1e3 * walk_s, 3),
+        "compile_ms": round(1e3 * compile_s, 3),
+        "cached_run_ms": round(1e3 * run_s, 3),
+        "oneshot_ms": round(1e3 * oneshot_s, 3),
+        "cached_speedup": round(walk_s / run_s, 2),
+        "plan_bytes": plan.nbytes,
+        "corpus_cases": cases,
+        "corpus_walk_s": round(corpus_walk_s, 3),
+        "corpus_oneshot_s": round(corpus_oneshot_s, 3),
+        "identical": identical,
+    }
+
+
 def run(quick: bool, gate: float, output: Path) -> int:
     session_iters = 14 if quick else 30
     oneshot_iters = 2 if quick else 4
@@ -235,6 +311,17 @@ def run(quick: bool, gate: float, output: Path) -> int:
         f"{failover['rematerializations']} re-materializations"
     )
 
+    replay = run_replay(quick)
+    print(
+        f"replay: walk {replay['walk_ms']:.2f} ms, compile "
+        f"{replay['compile_ms']:.2f} ms, cached run "
+        f"{replay['cached_run_ms']:.3f} ms ({replay['cached_speedup']:.1f}x), "
+        f"one-shot {replay['oneshot_ms']:.2f} ms; corpus of "
+        f"{replay['corpus_cases']}: walk {replay['corpus_walk_s']:.2f} s, "
+        f"one-shot {replay['corpus_oneshot_s']:.2f} s; identical "
+        f"{replay['identical']}"
+    )
+
     payload = {
         "quick": quick,
         "matrix": TIMING_MATRIX,
@@ -248,6 +335,7 @@ def run(quick: bool, gate: float, output: Path) -> int:
         "session_stats": session_stats,
         "byte_identity": byte_identity,
         "crash_failover": failover,
+        "replay": replay,
     }
     output.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {output}")
@@ -277,6 +365,19 @@ def run(quick: bool, gate: float, output: Path) -> int:
         )
     if not failover["failovers"]:
         failures.append("crash phase observed no failovers")
+    if replay["cached_speedup"] < REPLAY_GATE:
+        failures.append(
+            f"cached replay only {replay['cached_speedup']:.1f}x faster "
+            f"than the reference walk (gate {REPLAY_GATE:.0f}x)"
+        )
+    if replay["oneshot_ms"] > replay["walk_ms"]:
+        failures.append("one-shot compile + run slower than the walk")
+    if replay["corpus_oneshot_s"] > replay["corpus_walk_s"]:
+        failures.append(
+            "one-shot compile + run slower than the walk over the corpus"
+        )
+    if not replay["identical"]:
+        failures.append("replay plan diverged from the reference walk")
     for failure in failures:
         print(f"FAIL: {failure}")
     return 1 if failures else 0

@@ -28,6 +28,7 @@ from ..formats.csr import CSRMatrix
 from ..scheduling.base import TiledSchedule
 from ..scheduling.crhcs import MigrationReport
 from ..sim.engine import CycleBreakdown
+from ..sim.plan import ReplayPlan, compile_plan
 
 Matrix = Union[COOMatrix, CSRMatrix]
 
@@ -85,6 +86,23 @@ class ScheduledMatrix:
     #: schedules served from the cache (the schedule is deterministic, the
     #: side-channel report is only produced while building).
     migration: Optional[MigrationReport] = None
+
+    def replay_plan(self) -> ReplayPlan:
+        """The schedule compiled for functional execution.
+
+        Compiled on first use and kept on the artifact, outside the
+        dataclass fields, so equality and fingerprints never see it.
+        """
+        plan = self.cached_plan
+        if plan is None:
+            plan = compile_plan(self.schedule, self.config)
+            object.__setattr__(self, "_replay_plan", plan)
+        return plan
+
+    @property
+    def cached_plan(self) -> Optional[ReplayPlan]:
+        """The plan :meth:`replay_plan` compiled, if it has run."""
+        return self.__dict__.get("_replay_plan")
 
 
 @dataclass(frozen=True)

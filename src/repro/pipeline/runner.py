@@ -38,11 +38,7 @@ from ..estimator.calibration import DEFAULT_CALIBRATION, CalibrationTable
 from ..estimator.fidelity import resolve_fidelity
 from ..scheduling.base import TiledSchedule
 from ..scheduling.registry import SchedulerSpec, get_scheme
-from ..sim.engine import (
-    ENGINE_VERSION,
-    SpMVExecution,
-    execute_schedule,
-)
+from ..sim.engine import ENGINE_VERSION, SpMVExecution
 from .artifacts import (
     CycleResult,
     EstimateResult,
@@ -77,8 +73,9 @@ class PreparedSpMV:
 
     The load + schedule stages (including their fingerprint chains and
     cache lookups) ran exactly once, at :meth:`PipelineRunner.prepare`
-    time; :meth:`execute` then re-runs only the simulate/execute stage
-    against a new iterate vector.  This is the iteration re-execute path
+    time; :meth:`execute` then re-runs only the execute stage against a
+    new iterate vector — a replay of the schedule's plan, compiled on
+    the first execution.  This is the iteration re-execute path
     the session subsystem keeps device-resident: the schedule identity
     is the pass-signature fingerprint chain (``fingerprint``), so two
     prepared handles for the same (matrix, scheme, config) are
@@ -353,8 +350,12 @@ class PipelineRunner:
     def execute(
         self, scheduled: ScheduledMatrix, x: np.ndarray
     ) -> SpMVExecution:
-        """Functional execution (never cached: y depends on ``x``)."""
-        return execute_schedule(scheduled.schedule, x, scheduled.config)
+        """Functional execution (never cached: y depends on ``x``).
+
+        Runs the artifact's replay plan, compiling it on the first call
+        for this artifact; later calls only replay it.
+        """
+        return scheduled.replay_plan().run(x)
 
     # -- stage 4: metrics ------------------------------------------------
 
@@ -527,8 +528,9 @@ class PipelineRunner:
         """The functional flow: execute the datapath, then report.
 
         The report is assembled from the *executed* cycle breakdown
-        (identical to the analytic one — ``estimate_cycles`` mirrors
-        ``execute_schedule`` exactly), so the execution is never wasted.
+        (identical to the analytic one — ``estimate_cycles`` mirrors the
+        replay plan's accounting exactly), so the execution is never
+        wasted.
         """
         loaded = self.load(source)
         if schedule is not None:

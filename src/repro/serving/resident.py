@@ -1,10 +1,10 @@
 """The device-resident session-state store.
 
 One per :class:`~repro.serving.engine.ServingEngine` (one per simulated
-device): it pins each open session's prepared schedule handle and
-iterate vector between iterations, so a session ``step()`` touches
-neither the load stage nor the schedule stage — GraphLily's
-matrix-resident model, one level up.
+device): it pins each open session's prepared schedule handle (with
+its compiled replay plan) and iterate vector between iterations, so a
+session ``step()`` touches neither the load stage nor the schedule
+stage — GraphLily's matrix-resident model, one level up.
 
 The store is a byte-budgeted LRU (``REPRO_SESSION_STATE_BUDGET``).
 Eviction is safe by construction: resident state is a pure
@@ -26,7 +26,7 @@ from .. import telemetry
 
 STATE_BUDGET_ENV = "REPRO_SESSION_STATE_BUDGET"
 
-#: 64 MiB of iterate vectors ≈ tens of thousands of small sessions.
+#: 64 MiB of iterates and replay plans ≈ thousands of small sessions.
 DEFAULT_STATE_BUDGET = 64 * 1024 * 1024
 
 

@@ -2,10 +2,10 @@
 
 A session never ships its iterate over the wire after opening: the
 engine keeps a :class:`ResidentEntry` — the prepared schedule handle
-plus the solver state — in its
-:class:`~repro.serving.resident.ResidentStateStore`, and the client
-submits small :class:`StepWork` / :class:`FetchWork` items that operate
-on it in place.
+(with the replay plan its first step compiled) plus the solver state —
+in its :class:`~repro.serving.resident.ResidentStateStore`, and the
+client submits small :class:`StepWork` / :class:`FetchWork` items that
+operate on it in place.
 
 Both work items *re-materialize* on a resident miss: if the entry is
 gone (new device after a failover, or evicted under the state budget)
@@ -52,9 +52,14 @@ class ResidentEntry:
         self.completed = completed
 
 
-def _state_nbytes(state: Any) -> int:
-    """Approximate footprint of a solver state for the budget."""
+def _state_nbytes(entry: ResidentEntry) -> int:
+    """Approximate resident footprint of a session for the budget: its
+    solver state plus the replay plan its schedule handle compiled."""
     total = _ENTRY_OVERHEAD
+    plan = entry.prepared.scheduled.cached_plan
+    if plan is not None:
+        total += plan.nbytes
+    state = entry.state
     for field in dataclasses.fields(state):
         value = getattr(state, field.name)
         if isinstance(value, np.ndarray):
@@ -147,8 +152,7 @@ class StepWork:
                          entry.completed + 1)
             entry.completed += 1
             made += 1
-        resident.put(self.session_id, entry,
-                     _state_nbytes(state))
+        resident.put(self.session_id, entry, _state_nbytes(entry))
         finished = (
             state.finished(spec.tolerance)
             or entry.completed >= spec.max_iterations
@@ -185,8 +189,7 @@ class FetchWork:
         entry, rematerialized = _resident(
             runner, resident, spec, self.session_id, self.completed
         )
-        resident.put(self.session_id, entry,
-                     _state_nbytes(entry.state))
+        resident.put(self.session_id, entry, _state_nbytes(entry))
         state = entry.state
         return {
             "session": self.session_id,

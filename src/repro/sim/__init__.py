@@ -1,4 +1,10 @@
-"""Cycle-level model of the Chasoň / Serpens datapath (§4)."""
+"""Cycle-level model of the Chasoň / Serpens datapath (§4).
+
+``execute_schedule`` compiles a schedule into a :class:`ReplayPlan` and
+runs it; the unit classes (PE, PEG, memories, Reduction and Rearrange
+Units) model the hardware block by block and drive
+:mod:`repro.sim.reference`, the walk the plan is tested against.
+"""
 
 from .fifo import FifoStream
 from .memory import BramXBuffer, ScugBankGroup, UramBank
@@ -13,6 +19,7 @@ from .engine import (
     estimate_cycles,
     execute_schedule,
 )
+from .plan import ReplayPlan, compile_plan
 
 __all__ = [
     "FifoStream",
@@ -27,6 +34,8 @@ __all__ = [
     "SpMVExecution",
     "estimate_cycles",
     "execute_schedule",
+    "ReplayPlan",
+    "compile_plan",
     "PETimeline",
     "ScheduleTrace",
     "trace_grid",

@@ -1,9 +1,10 @@
 """End-to-end execution of a schedule on the modelled datapath.
 
 The engine plays a :class:`~repro.scheduling.base.TiledSchedule` through
-PEGs, Reduction Units and the Rearrange Unit, producing both the output
-vector y (functional correctness, verified against a float64 reference —
-the §5.1 end-to-end check) and a cycle breakdown (the latency model):
+PEGs, Reduction Units and the Rearrange Unit — compiled once into a
+replay plan (:mod:`repro.sim.plan`) — producing both the output vector y
+(functional correctness, verified against a float64 reference — the
+§5.1 end-to-end check) and a cycle breakdown (the latency model):
 
 ======================  ====================================================
 component               cycles
@@ -34,12 +35,9 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..config import AcceleratorConfig
-from ..errors import ShapeError, SimulationError
+from ..errors import ShapeError
 from ..scheduling.base import TiledSchedule
 from .. import telemetry
-from .peg import ProcessingElementGroup
-from .rearrange import RearrangeUnit
-from .reduction import ReductionUnit
 
 #: FP32 lanes of one 512-bit beat (x loading and y output).
 DENSE_LANES = 16
@@ -110,7 +108,7 @@ class SpMVExecution:
         return bool(np.all(np.abs(self.y - reference) <= rtol * scale))
 
 
-def _has_reduction_unit(config: AcceleratorConfig) -> bool:
+def has_reduction_unit(config: AcceleratorConfig) -> bool:
     return getattr(config, "reduction_tree_levels", 0) > 0
 
 
@@ -148,7 +146,7 @@ def estimate_cycles(
             )
             if tile.migrated_count:
                 any_shared = True
-        if _has_reduction_unit(config) and any_shared:
+        if has_reduction_unit(config) and any_shared:
             rows_per_pe = math.ceil(window_rows / config.total_pes)
             cycles.reduction += (
                 rows_per_pe
@@ -159,139 +157,34 @@ def estimate_cycles(
     return cycles
 
 
+def check_x(x: np.ndarray, n_rows: int, n_cols: int) -> np.ndarray:
+    """``x`` as float32, or :class:`ShapeError` if it is not ``n_cols`` long
+    (a schedule with no columns takes any x)."""
+    x = np.asarray(x, dtype=np.float32)
+    if n_cols and x.shape != (n_cols,):
+        raise ShapeError(
+            f"x of length {x.shape} incompatible with "
+            f"{n_rows}x{n_cols} schedule"
+        )
+    return x
+
+
 def execute_schedule(
     schedule: TiledSchedule,
     x: np.ndarray,
     config: Optional[AcceleratorConfig] = None,
 ) -> SpMVExecution:
-    """Run one SpMV iteration of ``schedule`` over input vector ``x``."""
+    """Run one SpMV iteration of ``schedule`` over input vector ``x``.
+
+    Compiles the schedule into a replay plan (:mod:`repro.sim.plan`) and
+    runs it once; callers that execute one schedule repeatedly keep the
+    plan instead (``ScheduledMatrix.replay_plan``).
+    """
+    from .plan import compile_plan
+
     t = telemetry.get()
     with t.span(
         "sim.execute", scheme=schedule.scheme, nnz=schedule.nnz
     ):
-        execution = _execute_schedule(schedule, x, config, t)
-    return execution
-
-
-def _execute_schedule(
-    schedule: TiledSchedule,
-    x: np.ndarray,
-    config: Optional[AcceleratorConfig],
-    t: "telemetry.Telemetry",
-) -> SpMVExecution:
-    config = config or schedule.config
-    x = np.asarray(x, dtype=np.float32)
-    if schedule.n_cols and x.shape != (schedule.n_cols,):
-        raise ShapeError(
-            f"x of length {x.shape} incompatible with "
-            f"{schedule.n_rows}x{schedule.n_cols} schedule"
-        )
-
-    y = np.zeros(schedule.n_rows, dtype=np.float64)
-    cycles = CycleBreakdown(
-        overhead=getattr(config, "invocation_overhead_cycles", 0)
-    )
-    rearrange = RearrangeUnit(config)
-    total_macs = 0
-    shared_macs = 0
-    # Per-channel busy (MAC) and stall (idle) cycle totals across all
-    # row windows — the per-PEG occupancy Figs. 12/13 report, surfaced
-    # through telemetry counters.
-    channel_busy = [0] * config.sparse_channels
-    channel_idle = [0] * config.sparse_channels
-
-    # Group tiles by row window, preserving column order within each.
-    windows: Dict[int, List] = {}
-    for tile in schedule.tiles:
-        windows.setdefault(tile.row_base, []).append(tile)
-
-    for row_base in sorted(windows):
-        tiles = sorted(windows[row_base], key=lambda t: t.col_base)
-        pegs = [
-            ProcessingElementGroup(channel, config)
-            for channel in range(config.sparse_channels)
-        ]
-        window_rows = 0
-        for tile in tiles:
-            n_cols = min(config.column_window, x.size - tile.col_base)
-            if n_cols < 0:
-                raise SimulationError(
-                    f"tile at column base {tile.col_base} beyond x"
-                )
-            window = x[tile.col_base : tile.col_base + n_cols]
-            for peg in pegs:
-                peg.load_x_window(window)
-            cycles.x_load += math.ceil(max(n_cols, 1) / DENSE_LANES)
-            for channel, grid in enumerate(tile.grids):
-                pegs[channel].consume_grid(grid)
-            cycles.stream += tile.stream_cycles
-            cycles.drain += (
-                config.multiplier_latency + config.accumulator_latency
-            )
-            window_rows = max(
-                window_rows,
-                min(config.row_window, schedule.n_rows - row_base),
-            )
-
-        reductions = {}
-        if _has_reduction_unit(config):
-            rows_per_pe = math.ceil(max(window_rows, 1) / config.total_pes)
-            any_shared = False
-            for channel, peg in enumerate(pegs):
-                reduced = ReductionUnit(peg).reduce()
-                if reduced.sums:
-                    any_shared = True
-                reductions[channel] = reduced
-            if any_shared:
-                cycles.reduction += (
-                    rows_per_pe
-                    + getattr(config, "reduction_tree_levels", 3)
-                    + config.accumulator_latency
-                )
-
-        rearrange.merge(pegs, reductions, row_base, window_rows, y)
-        cycles.output += math.ceil(max(window_rows, 1) / DENSE_LANES)
-
-        for channel, peg in enumerate(pegs):
-            total_macs += peg.total_macs
-            shared_macs += sum(
-                pe.stats.shared_accumulations for pe in peg.pes
-            )
-            channel_busy[channel] += peg.total_macs
-            channel_idle[channel] += peg.total_idle
-
-    if total_macs != schedule.nnz:
-        raise SimulationError(
-            f"executed {total_macs} MACs for a schedule of "
-            f"{schedule.nnz} non-zeros"
-        )
-
-    if t.enabled:
-        for channel in range(config.sparse_channels):
-            t.counter(
-                "sim.peg.busy_cycles", channel_busy[channel],
-                channel=channel,
-            )
-            t.counter(
-                "sim.peg.stall_cycles", channel_idle[channel],
-                channel=channel,
-            )
-        t.gauge(
-            "sim.fifo.high_water", rearrange.stream_ax.high_water,
-            fifo=rearrange.stream_ax.name,
-        )
-
-    return SpMVExecution(
-        y=y,
-        cycles=cycles,
-        config=config,
-        scheme=schedule.scheme,
-        nnz=schedule.nnz,
-        total_macs=total_macs,
-        shared_macs=shared_macs,
-        stats={
-            "shared_fraction": shared_macs / total_macs if total_macs else 0.0,
-            "private_values": rearrange.stats.private_values,
-            "shared_values": rearrange.stats.shared_values,
-        },
-    )
+        x = check_x(x, schedule.n_rows, schedule.n_cols)
+        return compile_plan(schedule, config).replay(x, t)

@@ -204,6 +204,49 @@ class TestResidentStateStore:
         _assert_identical(offline, result_a)
         _assert_identical(offline, result_b)
 
+    def test_replay_plan_counts_against_the_budget(self):
+        """A budget that holds one session's plan + state, and two
+        sessions' states, but not two plans: the second session evicts
+        the first, and both still finish byte-identical."""
+        matrix = laplacian_1d(32)
+        offline = _offline("power_iteration", matrix, None,
+                           tolerance=1e-10, max_iterations=20)
+        with ServingEngine() as engine:
+            manager = SessionManager(engine=engine)
+            with manager.open(matrix, tolerance=1e-10, max_iterations=20,
+                              params={"seed": 0}) as probe:
+                probe.result()  # resident, but nothing executed yet
+                state_only = engine.resident.bytes
+                probe.step(iterations=20)
+                entry = engine.resident.get(probe.session_id)
+                one_session = engine.resident.bytes
+        plan_bytes = entry.prepared.scheduled.cached_plan.nbytes
+        assert one_session - state_only >= plan_bytes > 0
+        budget = 2 * one_session - plan_bytes
+        assert 2 * (one_session - plan_bytes) <= budget < 2 * one_session
+
+        with ServingEngine() as engine:
+            engine.resident = ResidentStateStore(budget_bytes=budget)
+            manager = SessionManager(engine=engine)
+            a = manager.open(matrix, tolerance=1e-10, max_iterations=20,
+                             params={"seed": 0})
+            b = manager.open(matrix, tolerance=1e-10, max_iterations=20,
+                             params={"seed": 0})
+            a.step(iterations=1)
+            b.step(iterations=1)
+            assert engine.resident.snapshot()["evictions"] == 1
+            assert engine.resident.get(a.session_id) is None
+            while not (a.finished and b.finished):
+                if not a.finished:
+                    a.step(iterations=4)
+                if not b.finished:
+                    b.step(iterations=4)
+            result_a, result_b = a.result(), b.result()
+            assert a.rematerializations > 0 and b.rematerializations > 0
+            manager.close_all()
+        _assert_identical(offline, result_a)
+        _assert_identical(offline, result_b)
+
 
 class TestConcurrentSessions:
     def test_many_interleaved_sessions_all_converge(self):
