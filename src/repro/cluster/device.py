@@ -1,12 +1,12 @@
-"""One simulated device: a serving engine plus private caches + health.
+"""One simulated device: a serving engine plus a private store + health.
 
 A :class:`DeviceHandle` models one accelerator card in the fleet: its
-own :class:`~repro.serving.engine.ServingEngine` over a *private*
-:class:`~repro.pipeline.store.ArtifactStore` and
-:class:`~repro.scheduling.cache.ScheduleCache` — a fixed per-device
-cache budget, the way each card owns a fixed slice of HBM.  Sharding
-multiplies the fleet's aggregate cache, which is exactly what the
-router's fingerprint affinity exploits.
+own :class:`~repro.serving.engine.ServingEngine` over one *private*
+:class:`~repro.pipeline.store.ArtifactStore` — a fixed per-device cache
+budget (shared artifacts, schedules, pass snapshots), the way each card
+owns a fixed slice of HBM.  Sharding multiplies the fleet's aggregate
+cache, which is exactly what the router's fingerprint affinity
+exploits.
 
 The handle also owns the device's *health ledger*
 (:class:`DeviceHealth`): live queue depth, an EWMA of served latency,
@@ -21,8 +21,7 @@ from __future__ import annotations
 import threading
 from typing import Any, Dict, Optional
 
-from ..pipeline.store import ArtifactStore
-from ..scheduling.cache import ScheduleCache
+from ..pipeline.store import PASS_CACHE_SIZE, ArtifactStore, budget_from_env
 from ..serving.engine import ServingEngine, Ticket
 from ..serving.request import SpMVRequest
 from .faults import FaultInjector
@@ -112,7 +111,7 @@ class _InjectedRunner:
 
 
 class DeviceHandle:
-    """One device of the cluster: engine, private caches, health."""
+    """One device of the cluster: engine, private store, health."""
 
     def __init__(
         self,
@@ -130,7 +129,8 @@ class DeviceHandle:
         self.device_id = device_id
         self.store = ArtifactStore(
             capacity=store_capacity,
-            schedule_cache=ScheduleCache(capacity=schedule_capacity),
+            schedule_capacity=schedule_capacity,
+            pass_capacity=budget_from_env(PASS_CACHE_SIZE),
         )
         self.engine = ServingEngine(
             workers=workers,

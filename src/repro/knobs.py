@@ -62,16 +62,18 @@ RUNTIME_KNOBS: Tuple[Knob, ...] = (
          "synthetic generation"),
     # caches
     Knob("REPRO_SCHEDULE_CACHE_SIZE", "cache", "16",
-         "in-memory LRU of schedules keyed (spec, config, scheme); "
-         "0 disables"),
+         "global artifact store's in-memory LRU of schedules, keyed by "
+         "schedule fingerprint; 0 disables"),
     Knob("REPRO_SCHEDULE_CACHE_DIR", "cache", None,
-         "on-disk schedule cache tier in the §3.2 wire format"),
+         "on-disk schedule tier in the §3.2 wire format "
+         "(<schedule fingerprint>.chsn files)"),
     Knob("REPRO_PIPELINE_CACHE_SIZE", "cache", "64",
-         "whole-flow artifact store LRU (load/simulate/metrics stages); "
-         "0 disables the generic tier"),
+         "global artifact store's shared LRU (load/simulate/metrics/"
+         "estimate); 0 disables it"),
     Knob("REPRO_PASS_CACHE_SIZE", "cache", "128",
-         "per-pass tile-artifact LRU behind incremental rescheduling "
-         "(snapshots, keyed by pass digest chain); 0 disables"),
+         "per-tile pass snapshots (keyed by pass digest chain) in device "
+         "and global stores and behind incremental rescheduling; "
+         "0 disables"),
     # telemetry
     Knob("REPRO_TELEMETRY", "telemetry", None,
          "JSONL trace path ('-' streams to stderr); unset disables"),

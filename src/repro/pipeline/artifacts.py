@@ -82,9 +82,10 @@ class ScheduledMatrix:
     config: AcceleratorConfig
     matrix_fingerprint: str
     fingerprint: str
-    #: CrHCS bookkeeping; ``None`` for schemes without migration and for
-    #: schedules served from the cache (the schedule is deterministic, the
-    #: side-channel report is only produced while building).
+    #: CrHCS bookkeeping; ``None`` for schemes without migration.  A
+    #: store memory hit returns the built artifact, report included; a
+    #: schedule read from the disk tier carries ``None`` (the wire
+    #: format holds the schedule, not the build's side-channel report).
     migration: Optional[MigrationReport] = None
 
     def replay_plan(self) -> ReplayPlan:

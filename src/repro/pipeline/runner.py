@@ -56,7 +56,7 @@ from .stages import (
     ScheduleStage,
     SimulateStage,
 )
-from .store import ArtifactStore
+from .store import PASS_CACHE_SIZE, ArtifactStore, budget_from_env
 
 _LOAD = LoadStage()
 _SCHEDULE = ScheduleStage()
@@ -128,9 +128,8 @@ class PipelineRunner:
 
     def __init__(self, store: Optional[ArtifactStore] = None):
         self.store = store
-        # (scheme, config fp, kwargs fp) → PassArtifactCache: the warm
-        # per-pass artifact caches behind :meth:`reschedule` sessions.
-        self._reschedule_sessions: dict = {}
+        # The pass snapshots behind :meth:`reschedule` (made on first use).
+        self._reschedule_store: Optional[ArtifactStore] = None
         #: Pass execution counts of the last :meth:`reschedule` call.
         self.last_reschedule_stats = None
 
@@ -189,46 +188,30 @@ class PipelineRunner:
                 return _SCHEDULE.run(
                     loaded, spec, config, scheduler_kwargs, digest
                 )
-            cache = self.store.schedule_cache
-            if cache is None:
-                return self.store.get_or_build(
-                    _SCHEDULE.name,
-                    digest,
-                    lambda: _SCHEDULE.run(
-                        loaded, spec, config, scheduler_kwargs, digest
-                    ),
-                )
-            # Route schedules through the two-tier ScheduleCache so the
-            # pipeline shares its entries (and the optional §3.2 disk
-            # images) with pre-pipeline call sites.  The pass tier rides
-            # along: a whole-schedule miss (say a MigratePass-only config
-            # change) can still resume every tile from its cached
-            # upstream pass artifacts.
-            built: dict = {}
+            store = self.store
 
-            def build() -> TiledSchedule:
+            def build() -> ScheduledMatrix:
+                # A memory miss reads the §3.2 disk image when there is
+                # one; otherwise every tile resumes from the deepest
+                # pass snapshot the store holds (say after a
+                # MigratePass-only config change).
+                schedule = store.read_schedule(digest, config)
+                if schedule is not None:
+                    return ScheduledMatrix(
+                        schedule=schedule,
+                        scheme=spec.name,
+                        config=config,
+                        matrix_fingerprint=loaded.fingerprint,
+                        fingerprint=digest,
+                    )
                 artifact = _SCHEDULE.run(
                     loaded, spec, config, scheduler_kwargs, digest,
-                    pass_cache=cache.pass_tier,
+                    pass_cache=store if store.pass_capacity else None,
                 )
-                built["artifact"] = artifact
-                return artifact.schedule
+                store.write_schedule(digest, artifact.schedule)
+                return artifact
 
-            schedule = cache.get_or_build(
-                digest, config, spec.name, build, version=spec.version
-            )
-            if "artifact" in built:
-                self.store._count(self.store.misses, _SCHEDULE.name)
-                return built["artifact"]
-            self.store._count(self.store.hits, _SCHEDULE.name)
-            return ScheduledMatrix(
-                schedule=schedule,
-                scheme=spec.name,
-                config=config,
-                matrix_fingerprint=loaded.fingerprint,
-                fingerprint=digest,
-                migration=None,
-            )
+            return store.get_or_build(_SCHEDULE.name, digest, build)
 
     def reschedule(
         self,
@@ -239,12 +222,13 @@ class PipelineRunner:
     ) -> ScheduledMatrix:
         """Incrementally reschedule an (edited) matrix.
 
-        The first call for a given (scheme, config, kwargs) session is a
-        cold schedule that warms a per-pass artifact cache; every later
-        call diffs per-pass input fingerprints against that cache and
-        re-runs only the invalidated passes — an in-place edit to the
-        matrix rebuilds only the tiles it touched.  The result is
-        byte-identical to a cold :meth:`schedule` of the same matrix.
+        Schedules through a pass-only store the runner keeps for these
+        calls (``REPRO_PASS_CACHE_SIZE`` tile snapshots): the first call
+        is a cold schedule that warms it, and every later call diffs
+        per-pass input fingerprints against it and re-runs only the
+        invalidated passes — an in-place edit to the matrix rebuilds
+        only the tiles it touched.  The result is byte-identical to a
+        cold :meth:`schedule` of the same matrix.
 
         Pass execution counts land in :attr:`last_reschedule_stats`
         (a :class:`~repro.scheduling.passes.PassRunStats`).
@@ -252,8 +236,6 @@ class PipelineRunner:
         Raises :class:`~repro.errors.ConfigError` for schemes that do
         not declare a pass pipeline.
         """
-        from ..scheduling.passes import PassArtifactCache
-
         loaded = self.load(source)
         spec = scheme if isinstance(scheme, SchedulerSpec) else get_scheme(scheme)
         if config is None:
@@ -263,19 +245,11 @@ class PipelineRunner:
                 f"scheme {spec.name!r} declares no pass pipeline; "
                 f"reschedule only works for pass-based schemes"
             )
-        public = {
-            k: scheduler_kwargs[k]
-            for k in sorted(scheduler_kwargs)
-            if not k.startswith("_") and k != "report"
-        }
-        session_key = (
-            spec.name, fingerprint_config(config), fingerprint(public)
-        )
-        cache = self._reschedule_sessions.get(session_key)
-        cold = cache is None
-        if cold:
-            cache = PassArtifactCache()
-            self._reschedule_sessions[session_key] = cache
+        passes = self._reschedule_store
+        if passes is None:
+            passes = self._reschedule_store = ArtifactStore(
+                capacity=0, pass_capacity=budget_from_env(PASS_CACHE_SIZE)
+            )
         digest = _SCHEDULE.fingerprint_for(
             loaded.fingerprint, spec, config, scheduler_kwargs
         )
@@ -284,13 +258,13 @@ class PipelineRunner:
             "pipeline.reschedule",
             scheme=spec.name,
             source=loaded.label,
-            cold=cold,
+            cold=len(passes) == 0,
         ):
             artifact = _SCHEDULE.run(
                 loaded, spec, config, scheduler_kwargs, digest,
-                pass_cache=cache,
+                pass_cache=passes,
             )
-        self.last_reschedule_stats = cache.last_stats
+        self.last_reschedule_stats = passes.last_pass_stats
         return artifact
 
     def adopt(

@@ -1,23 +1,41 @@
-"""Whole-flow content-addressed artifact store.
+"""The content-addressed artifact store: the one cache of the pipeline.
 
-Extends the schedule-only memoisation of :mod:`repro.scheduling.cache`
-to every pipeline stage: artifacts are stored under their content
-fingerprint, so a corpus re-run with one changed stage recomputes only
-that stage and the ones downstream of it —
+Everything the reproduction caches is an artifact named by its content
+fingerprint: a loaded matrix, a schedule (the per-channel HBM image the
+host builds once, §3.2), a per-tile pass snapshot, a cycle count, a
+report.  The store keys them all by ``(kind, fingerprint)``, where the
+kind is a stage name (``load``/``schedule``/``simulate``/``metrics``/
+``estimate``) or ``pass`` (the per-tile snapshots the pass manager
+resumes from).  A corpus re-run with one changed stage therefore
+recomputes only that stage and the ones downstream of it —
 
 * change a scheduler version or an ``AcceleratorConfig`` field → the
-  load artifact still hits, schedule/simulate/metrics rebuild;
+  load artifact still hits, schedule/simulate/metrics rebuild (and the
+  schedule's tiles resume from every pass snapshot upstream of the
+  change);
 * change only the accelerator power model → load, schedule and simulate
   all hit, only metrics rebuilds;
 * change the matrix → everything for that matrix rebuilds, entries for
   other matrices are untouched.
 
-Schedule artifacts are special-cased through a
-:class:`~repro.scheduling.cache.ScheduleCache` so they keep the existing
-two-tier behaviour (in-memory LRU + optional on-disk §3.2 wire images
-via ``REPRO_SCHEDULE_CACHE_DIR``).  All other stages live in one bounded
-in-memory LRU sized by ``REPRO_PIPELINE_CACHE_SIZE`` (default 64
-artifacts, ``0`` disables the generic tier).
+**Budgets.**  Schedules get their own LRU when the store is given a
+``schedule_capacity``, pass snapshots always have their own
+(``pass_capacity``; ``0``, the default, keeps none), and every other
+kind shares one LRU of ``capacity`` artifacts.  A budget of ``0``
+stores nothing of that kind: every lookup misses.
+
+**Disk tier.**  With ``disk_dir`` set, schedules are also written as
+``<fingerprint>.chsn`` files in the §3.2 wire format
+(:mod:`repro.scheduling.serialize`), so a cache file is exactly the
+HBM channel image a deployment would ship and a later process reads it
+instead of rebuilding.  Schedules the wire format cannot carry
+(``migration_span > 1``) skip the disk tier; unreadable files are
+rebuilt.
+
+**Counters.**  Per-kind ``hits``/``misses``/``evictions`` and
+``disk_loads``, mirrored one-for-one by the
+``pipeline.cache.{hits,misses,evictions,disk_loads}`` {stage} telemetry
+counters.
 """
 
 from __future__ import annotations
@@ -25,44 +43,71 @@ from __future__ import annotations
 import os
 import threading
 from collections import OrderedDict
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 from .. import telemetry
-from ..scheduling.cache import ScheduleCache, global_schedule_cache
+from ..errors import FormatError, SchedulingError
+from ..scheduling.base import TiledSchedule
+from ..scheduling.serialize import deserialize_schedule, serialize_schedule
 
-_SIZE_ENV = "REPRO_PIPELINE_CACHE_SIZE"
-_DEFAULT_SIZE = 64
+PIPELINE_CACHE_SIZE = "REPRO_PIPELINE_CACHE_SIZE"
+SCHEDULE_CACHE_SIZE = "REPRO_SCHEDULE_CACHE_SIZE"
+PASS_CACHE_SIZE = "REPRO_PASS_CACHE_SIZE"
+SCHEDULE_CACHE_DIR = "REPRO_SCHEDULE_CACHE_DIR"
 
-_StoreKey = Tuple[str, str]  # (stage name, fingerprint)
+#: Budget knob → (default, unit for the fallback warning).
+_BUDGETS = {
+    PIPELINE_CACHE_SIZE: (64, "artifacts"),
+    SCHEDULE_CACHE_SIZE: (16, "schedules"),
+    PASS_CACHE_SIZE: (128, "tile snapshots"),
+}
+
+
+class _Lru(OrderedDict):
+    """One budgeted LRU of the store (guarded by the store's lock)."""
+
+    def __init__(self, capacity: int):
+        super().__init__()
+        self.capacity = max(capacity, 0)
 
 
 class ArtifactStore:
-    """A bounded LRU of stage artifacts keyed by content fingerprint."""
+    """Bounded LRUs of pipeline artifacts keyed by content fingerprint."""
 
     def __init__(
         self,
-        capacity: int = _DEFAULT_SIZE,
-        schedule_cache: Optional[ScheduleCache] = None,
+        capacity: int = _BUDGETS[PIPELINE_CACHE_SIZE][0],
+        schedule_capacity: Optional[int] = None,
+        pass_capacity: int = 0,
+        disk_dir: Optional[str] = None,
     ):
-        self.capacity = max(capacity, 0)
-        #: Backing tier for schedule artifacts; ``None`` falls back to
-        #: the generic LRU (no disk tier).
-        self.schedule_cache = schedule_cache
-        self._entries: "OrderedDict[_StoreKey, object]" = OrderedDict()
-        # Guards the LRU and stats so serving worker threads can share
-        # one store.  Builds run outside the lock: two threads racing on
-        # the same fingerprint both build the same artifact (stages are
-        # pure), and the last insert wins harmlessly.
+        self._shared = _Lru(capacity)
+        #: kind → its own LRU; every other kind shares ``_shared``.
+        self._own: Dict[str, _Lru] = {"pass": _Lru(pass_capacity)}
+        if schedule_capacity is not None:
+            self._own["schedule"] = _Lru(schedule_capacity)
+        self.disk_dir = disk_dir
+        # Guards the LRUs and counters so serving worker threads can
+        # share one store.  Builds run outside the lock: two threads
+        # racing on the same fingerprint both build the same artifact
+        # (stages are pure), and the last insert wins harmlessly.
         self._lock = threading.RLock()
         self.hits: Dict[str, int] = {}
         self.misses: Dict[str, int] = {}
+        self.evictions: Dict[str, int] = {}
+        self.disk_loads = 0
+        #: Execution counts of the last pass-manager run that resumed
+        #: from this store (a :class:`~repro.scheduling.passes.PassRunStats`,
+        #: set by :meth:`PassManager.run`).
+        self.last_pass_stats = None
+
+    @property
+    def pass_capacity(self) -> int:
+        return self._own["pass"].capacity
 
     def __len__(self) -> int:
-        return len(self._entries)
-
-    def _count(self, table: Dict[str, int], stage: str) -> None:
         with self._lock:
-            table[stage] = table.get(stage, 0) + 1
+            return len(self._shared) + sum(map(len, self._own.values()))
 
     def stage_hits(self, stage: str) -> int:
         return self.hits.get(stage, 0)
@@ -70,78 +115,146 @@ class ArtifactStore:
     def stage_misses(self, stage: str) -> int:
         return self.misses.get(stage, 0)
 
-    def get_or_build(
-        self, stage: str, digest: str, build: Callable[[], object]
-    ) -> object:
-        """Return the artifact for ``(stage, digest)``, building on miss."""
-        if self.capacity == 0:
-            self._count(self.misses, stage)
-            return build()
-        key = (stage, digest)
+    def get(self, kind: str, digest: str) -> Optional[object]:
+        """The artifact for ``(kind, digest)``, or ``None`` (a miss)."""
+        key = (kind, digest)
+        lru = self._own.get(kind, self._shared)
+        with self._lock:
+            artifact = lru.get(key)
+            if artifact is None:
+                table, name = self.misses, "pipeline.cache.misses"
+            else:
+                lru.move_to_end(key)
+                table, name = self.hits, "pipeline.cache.hits"
+            table[kind] = table.get(kind, 0) + 1
         t = telemetry.get()
-        with self._lock:
-            cached = self._entries.get(key)
-            if cached is not None:
-                self._entries.move_to_end(key)
-                self._count(self.hits, stage)
-        if cached is not None:
-            if t.enabled:
-                t.counter("pipeline.cache.hits", 1, stage=stage)
-            return cached
-        self._count(self.misses, stage)
         if t.enabled:
-            t.counter("pipeline.cache.misses", 1, stage=stage)
-        artifact = build()
-        with self._lock:
-            self._entries[key] = artifact
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
+            t.counter(name, 1, stage=kind)
         return artifact
+
+    def put(self, kind: str, digest: str, artifact: object) -> None:
+        """Insert an artifact, evicting the least recent beyond budget."""
+        lru = self._own.get(kind, self._shared)
+        if lru.capacity == 0:
+            return
+        key = (kind, digest)
+        evicted = []
+        with self._lock:
+            lru[key] = artifact
+            lru.move_to_end(key)
+            while len(lru) > lru.capacity:
+                (old_kind, _), _ = lru.popitem(last=False)
+                self.evictions[old_kind] = self.evictions.get(old_kind, 0) + 1
+                evicted.append(old_kind)
+        t = telemetry.get()
+        if t.enabled:
+            for old_kind in evicted:
+                t.counter("pipeline.cache.evictions", 1, stage=old_kind)
+
+    def get_or_build(
+        self, kind: str, digest: str, build: Callable[[], object]
+    ) -> object:
+        """Return the artifact for ``(kind, digest)``, building on miss."""
+        artifact = self.get(kind, digest)
+        if artifact is None:
+            artifact = build()
+            self.put(kind, digest, artifact)
+        return artifact
+
+    # -- the §3.2 disk tier ----------------------------------------------
+
+    def _disk_path(self, digest: str) -> str:
+        return os.path.join(self.disk_dir, f"{digest}.chsn")
+
+    def read_schedule(self, digest: str, config) -> Optional[TiledSchedule]:
+        """The schedule's disk image, or ``None`` if absent or unreadable."""
+        if self.disk_dir is None:
+            return None
+        try:
+            with open(self._disk_path(digest), "rb") as handle:
+                schedule = deserialize_schedule(handle.read(), config)
+        except (FormatError, OSError):
+            return None
+        with self._lock:
+            self.disk_loads += 1
+        t = telemetry.get()
+        if t.enabled:
+            t.counter("pipeline.cache.disk_loads", 1, stage="schedule")
+        return schedule
+
+    def write_schedule(self, digest: str, schedule: TiledSchedule) -> None:
+        """Write the schedule's §3.2 image (atomic rename; best effort)."""
+        if self.disk_dir is None:
+            return
+        try:
+            image = serialize_schedule(schedule)
+        except SchedulingError:
+            return  # e.g. migration_span > 1: not wire-encodable (§3.2)
+        os.makedirs(self.disk_dir, exist_ok=True)
+        path = self._disk_path(digest)
+        tmp = f"{path}.tmp.{os.getpid()}"
+        try:
+            with open(tmp, "wb") as handle:
+                handle.write(image)
+            os.replace(tmp, path)
+        except OSError:
+            if os.path.exists(tmp):
+                try:
+                    os.remove(tmp)
+                except OSError:
+                    pass
 
     def clear(self) -> None:
         with self._lock:
-            self._entries.clear()
+            self._shared.clear()
+            for lru in self._own.values():
+                lru.clear()
             self.hits = {}
             self.misses = {}
+            self.evictions = {}
+            self.disk_loads = 0
+            self.last_pass_stats = None
+
+
+def budget_from_env(knob: str) -> int:
+    """A cache-budget knob's value; its default when unset or invalid.
+
+    An unparsable value (``REPRO_PIPELINE_CACHE_SIZE=lots``) falls back
+    to the default with a one-time warning through the telemetry/logging
+    path (matching ``REPRO_CORPUS_WORKERS``).
+    """
+    default, unit = _BUDGETS[knob]
+    raw = os.environ.get(knob, "").strip()
+    if not raw:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        telemetry.warn_once(
+            f"invalid_{knob[len('REPRO_'):].lower()}",
+            f"{knob}={raw!r} is not an integer; "
+            f"falling back to the default ({default} {unit})",
+        )
+        return default
 
 
 _GLOBAL: Optional[ArtifactStore] = None
 
 
 def global_artifact_store() -> ArtifactStore:
-    """The process-wide store, configured from the environment once.
+    """The process-wide store, configured from the four cache knobs once.
 
-    Shares its schedule tier with
-    :func:`repro.scheduling.cache.global_schedule_cache`, so pipeline and
-    pre-pipeline call sites memoise into the same place.
+    ``REPRO_PIPELINE_CACHE_SIZE`` bounds the shared LRU,
+    ``REPRO_SCHEDULE_CACHE_SIZE`` the schedules, ``REPRO_PASS_CACHE_SIZE``
+    the pass snapshots, and ``REPRO_SCHEDULE_CACHE_DIR`` turns on the
+    disk tier.
     """
     global _GLOBAL
     if _GLOBAL is None:
         _GLOBAL = ArtifactStore(
-            capacity=pipeline_cache_capacity(),
-            schedule_cache=global_schedule_cache(),
+            capacity=budget_from_env(PIPELINE_CACHE_SIZE),
+            schedule_capacity=budget_from_env(SCHEDULE_CACHE_SIZE),
+            pass_capacity=budget_from_env(PASS_CACHE_SIZE),
+            disk_dir=os.environ.get(SCHEDULE_CACHE_DIR) or None,
         )
     return _GLOBAL
-
-
-def pipeline_cache_capacity() -> int:
-    """The configured store capacity; the default when unset or invalid.
-
-    An unparsable value (``REPRO_PIPELINE_CACHE_SIZE=lots``) falls back
-    to the default but is no longer silent: a one-time warning goes
-    through the telemetry/logging path (matching
-    ``REPRO_CORPUS_WORKERS``).
-    """
-    raw = os.environ.get(_SIZE_ENV, "").strip()
-    if not raw:
-        return _DEFAULT_SIZE
-    try:
-        return int(raw)
-    except ValueError:
-        telemetry.warn_once(
-            "invalid_pipeline_cache_size",
-            f"{_SIZE_ENV}={raw!r} is not an integer; "
-            f"falling back to the default ({_DEFAULT_SIZE} artifacts)",
-        )
-        return _DEFAULT_SIZE

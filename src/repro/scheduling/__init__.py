@@ -37,8 +37,6 @@ from .registry import (
     registered_schemes,
 )
 from .passes import (
-    IncrementalScheduler,
-    PassArtifactCache,
     PassManager,
     SchedulePass,
     known_pass_names,
@@ -77,8 +75,6 @@ __all__ = [
     "register_scheme",
     "registered_schemes",
     "MigrationReport",
-    "IncrementalScheduler",
-    "PassArtifactCache",
     "PassManager",
     "SchedulePass",
     "known_pass_names",

@@ -4,10 +4,10 @@ Scheduling used to be five monolithic builder functions; this package
 restructures it as an explicit pass pipeline over the array-backed
 grids, with a :class:`PassManager` that chains a per-pass fingerprint
 (upstream digest + pass config + pass version) through the list.  The
-registry declares every scheme as a pass list, the pipeline's schedule
-stage routes through per-pass artifacts, and
-:class:`IncrementalScheduler` turns the digest chains into incremental
-rescheduling for in-place matrix updates.
+registry declares every scheme as a pass list, and the pipeline's
+schedule stage hands the manager its artifact store, whose per-tile
+pass snapshots turn the digest chains into incremental rescheduling for
+in-place matrix updates.
 
 Layering: this package may import ``scheduling.base``/``stats``/
 ``window`` but never the registry or the scheme modules — the scheme
@@ -32,12 +32,9 @@ from .migrate import (
     register_migrator,
 )
 from .manager import (
-    IncrementalScheduler,
-    PassArtifactCache,
     PassManager,
     PassRunStats,
     known_pass_names,
-    pass_cache_capacity,
     resolve_passes,
     validate_pass_name,
 )
@@ -60,9 +57,7 @@ __all__ = [
     "TrimPass",
     "VerifyPass",
     "PassManager",
-    "PassArtifactCache",
     "PassRunStats",
-    "IncrementalScheduler",
     "register_builder",
     "register_migrator",
     "builder_variants",
@@ -70,7 +65,6 @@ __all__ = [
     "known_pass_names",
     "validate_pass_name",
     "resolve_passes",
-    "pass_cache_capacity",
     "fingerprint",
     "fingerprint_config",
     "fingerprint_tile",

@@ -4,23 +4,28 @@
 and assembles the :class:`~repro.scheduling.base.TiledSchedule`.  Two
 execution modes:
 
-**Hot path (no cache).**  When no :class:`PassArtifactCache` is
-attached — the default for every registered scheduler — the manager
-computes *no* fingerprints and takes *no* snapshots: the only overhead
-over the old monolithic builders is the pass dispatch itself, which
-keeps the scheduler hot-path benchmarks honest.
+**Hot path (no cache).**  When no cache is attached — the default for
+every registered scheduler — the manager computes *no* fingerprints and
+takes *no* snapshots: the only overhead over the old monolithic
+builders is the pass dispatch itself, which keeps the scheduler
+hot-path benchmarks honest.
 
-**Cached (fingerprint-chained).**  With a cache attached, each tile
-carries a digest chain: ``d0 = fingerprint(tile content + config)``,
-then ``d_i = fingerprint(d_{i-1}, pass token, pass version, pass
-params)``.  Before running, the manager probes the cache at the chain's
-cacheable depths (deepest first) and resumes each tile after the deepest
-hit; after running a cacheable pass it stores a snapshot (cloned grids +
-migration bookkeeping) under that depth's digest.  Because the chain
-folds in the upstream digest *and* each pass's config, a
+**Cached (fingerprint-chained).**  With a cache attached (the
+pipeline's artifact store: anything with ``get(kind, digest)`` and
+``put(kind, digest, value)``), each tile carries a digest chain:
+``d0 = fingerprint(tile content + config)``, then ``d_i =
+fingerprint(d_{i-1}, pass token, pass version, pass params)``.  Before
+running, the manager probes the cache at the chain's cacheable depths
+(deepest first) and resumes each tile after the deepest hit; after
+running a cacheable pass it stores a snapshot (cloned grids + migration
+bookkeeping) of kind ``pass`` under that depth's digest.  Because the
+chain folds in the upstream digest *and* each pass's config, a
 ``MigratePass``-only parameter change reuses the cached
 ``BuildGridPass`` artifact, and an in-place matrix edit invalidates
 exactly the tiles it touched — which is all incremental rescheduling is.
+The snapshots are keyed by digest alone, so schemes with a common pass
+prefix (CrHCS and PE-aware both start with ``build:pe_aware``) share
+them.
 
 Every pass runs under a ``schedule.pass.<name>`` telemetry span
 annotated with how many tiles executed versus resumed from cache.
@@ -28,9 +33,6 @@ annotated with how many tiles executed versus resumed from cache.
 
 from __future__ import annotations
 
-import os
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -45,8 +47,8 @@ from .fingerprint import fingerprint, fingerprint_config, fingerprint_tile
 from .migrate import MigratePass, migrator_variants
 from .structural import CompactPass, TrimPass, VerifyPass
 
-_PASS_CACHE_ENV = "REPRO_PASS_CACHE_SIZE"
-_DEFAULT_PASS_CACHE_SIZE = 128
+#: The cache kind of per-tile pass snapshots.
+PASS_KIND = "pass"
 
 #: The scheme-independent structural pass names.
 _STRUCTURAL = {
@@ -111,7 +113,7 @@ def resolve_passes(
 
 
 # ---------------------------------------------------------------------------
-# the per-pass artifact cache
+# per-tile pass snapshots
 # ---------------------------------------------------------------------------
 
 
@@ -135,79 +137,6 @@ class _TileSnapshot:
         state.grids = [g.clone() for g in self.grids]
         state.migrated = self.migrated
         state.report = self.report.copy() if self.report else None
-
-
-def pass_cache_capacity() -> int:
-    """The configured pass-artifact LRU capacity (tile snapshots)."""
-    raw = os.environ.get(_PASS_CACHE_ENV, "").strip()
-    if not raw:
-        return _DEFAULT_PASS_CACHE_SIZE
-    try:
-        return int(raw)
-    except ValueError:
-        telemetry.warn_once(
-            "invalid_pass_cache_size",
-            f"{_PASS_CACHE_ENV}={raw!r} is not an integer; falling back "
-            f"to the default ({_DEFAULT_PASS_CACHE_SIZE} tile snapshots)",
-        )
-        return _DEFAULT_PASS_CACHE_SIZE
-
-
-class PassArtifactCache:
-    """A bounded LRU of tile snapshots keyed by pass digest.
-
-    Shared across schemes on purpose: the key is the digest chain, so
-    two schemes with a common pass prefix (CrHCS and PE-aware both start
-    with ``build:pe_aware``) share build artifacts, and a downstream
-    pass-config change rebuilds only the passes after the divergence.
-    """
-
-    def __init__(self, capacity: Optional[int] = None):
-        if capacity is None:
-            capacity = pass_cache_capacity()
-        self.capacity = max(capacity, 0)
-        self._entries: "OrderedDict[str, _TileSnapshot]" = OrderedDict()
-        self._lock = threading.RLock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        #: Execution counts of the last manager run through this cache
-        #: (set by :meth:`PassManager.run`; the schedulers build their
-        #: managers internally, so this is how callers holding only the
-        #: cache — the pipeline's ``reschedule`` — read the counts).
-        self.last_stats: Optional["PassRunStats"] = None
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, digest: str) -> Optional[_TileSnapshot]:
-        with self._lock:
-            snapshot = self._entries.get(digest)
-            if snapshot is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(digest)
-            self.hits += 1
-            return snapshot
-
-    def put(self, digest: str, state: TileState) -> None:
-        if self.capacity == 0:
-            return
-        snapshot = _TileSnapshot.of(state)
-        with self._lock:
-            self._entries[digest] = snapshot
-            self._entries.move_to_end(digest)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.hits = 0
-            self.misses = 0
-            self.evictions = 0
-            self.last_stats = None
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +183,6 @@ class PassManager:
         self.migration_span = migration_span
         #: Aggregated migration bookkeeping of the last :meth:`run`.
         self.last_report: Optional[MigrationReport] = None
-        #: Execution counts of the last :meth:`run`.
-        self.last_stats = PassRunStats()
 
     def signature_chain(self) -> Tuple[Tuple[object, ...], ...]:
         """Per-pass signatures, in order (the digest-chain skeleton)."""
@@ -266,9 +193,15 @@ class PassManager:
         matrix,
         config,
         max_rows_per_pass: int = 0,
-        cache: Optional[PassArtifactCache] = None,
+        cache=None,
     ) -> TiledSchedule:
-        """Schedule ``matrix`` through the pass list."""
+        """Schedule ``matrix`` through the pass list.
+
+        With a ``cache``, tiles resume from its ``pass`` snapshots and
+        the run's counts land on ``cache.last_pass_stats`` (the
+        schedulers build their managers internally, so that is how a
+        caller holding only the cache reads them).
+        """
         tiles = tile_matrix(matrix, config, max_rows_per_pass)
         ir = ScheduleIR(
             config=config,
@@ -277,7 +210,6 @@ class PassManager:
             migration_span=self.migration_span,
         )
         stats = PassRunStats()
-        self.last_stats = stats
 
         chains: List[List[str]] = []
         if cache is not None:
@@ -299,7 +231,8 @@ class PassManager:
                     schedule_pass.run_tile(state, ir)
                     ran += 1
                     if cache is not None and schedule_pass.cacheable:
-                        cache.put(chains[position][index], state)
+                        cache.put(PASS_KIND, chains[position][index],
+                                  _TileSnapshot.of(state))
                 span.annotate(tiles=ran, resumed=resumed)
             if ran:
                 stats.executed[schedule_pass.token] = ran
@@ -307,11 +240,11 @@ class PassManager:
                 stats.skipped[schedule_pass.token] = resumed
 
         if cache is not None:
-            cache.last_stats = stats
+            cache.last_pass_stats = stats
         return self._assemble(ir, matrix)
 
     def _resume_from_cache(
-        self, ir: ScheduleIR, config, cache: PassArtifactCache
+        self, ir: ScheduleIR, config, cache
     ) -> List[List[str]]:
         """Compute per-tile digest chains and restore the deepest hits."""
         config_fp = fingerprint_config(config)
@@ -328,7 +261,7 @@ class PassManager:
             for index in reversed(range(len(self.passes))):
                 if not self.passes[index].cacheable:
                     continue
-                snapshot = cache.get(chain[index])
+                snapshot = cache.get(PASS_KIND, chain[index])
                 if snapshot is not None:
                     snapshot.restore(state)
                     state.resume_from = index + 1
@@ -367,59 +300,3 @@ class PassManager:
             n_rows=matrix.n_rows,
             n_cols=matrix.n_cols,
         )
-
-
-# ---------------------------------------------------------------------------
-# incremental rescheduling
-# ---------------------------------------------------------------------------
-
-
-class IncrementalScheduler:
-    """A scheduling session that re-runs only invalidated passes.
-
-    Holds a :class:`PassManager` and a :class:`PassArtifactCache` across
-    calls; :meth:`reschedule` recomputes every tile's input fingerprint,
-    reuses the deepest cached pass artifact per tile, and re-runs only
-    the passes downstream of the change.  An in-place edit to a matrix
-    therefore costs roughly (touched tiles / all tiles) of a cold
-    schedule plus the cheap structural tail passes.
-    """
-
-    def __init__(
-        self,
-        manager: PassManager,
-        config,
-        max_rows_per_pass: int = 0,
-        cache: Optional[PassArtifactCache] = None,
-    ):
-        self.manager = manager
-        self.config = config
-        self.max_rows_per_pass = max_rows_per_pass
-        self.cache = cache if cache is not None else PassArtifactCache()
-
-    def schedule(self, matrix) -> TiledSchedule:
-        """Schedule ``matrix``, warming the per-pass artifact cache."""
-        return self.manager.run(
-            matrix,
-            self.config,
-            max_rows_per_pass=self.max_rows_per_pass,
-            cache=self.cache,
-        )
-
-    def reschedule(self, matrix) -> TiledSchedule:
-        """Diff per-pass input fingerprints; re-run only what changed.
-
-        The diffing *is* the cache probe: unchanged tiles hit their
-        deepest cached pass artifact and resume after it, changed tiles
-        miss and rebuild from scratch.  The result is byte-identical to
-        a cold schedule of the same matrix.
-        """
-        return self.schedule(matrix)
-
-    @property
-    def last_stats(self) -> PassRunStats:
-        return self.manager.last_stats
-
-    @property
-    def last_report(self) -> Optional[MigrationReport]:
-        return self.manager.last_report

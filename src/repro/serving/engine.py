@@ -262,11 +262,10 @@ class ServingEngine:
         self.queue = FairAdmissionQueue(
             capacity, policy=self.tenancy, pressure=self._interactive_hot
         )
-        # The engine's store deliberately skips the global ScheduleCache
-        # tier: serving workers are threads, and an engine-private store
+        # An engine-private store (one shared LRU, no pass snapshots)
         # keeps cross-request reuse observable per engine.
         self.store = store if store is not None else ArtifactStore(
-            capacity=max(4 * capacity, 64), schedule_cache=None
+            capacity=max(4 * capacity, 64)
         )
         self.runner = PipelineRunner(self.store)
         #: Device-resident session state (schedules + iterate vectors).

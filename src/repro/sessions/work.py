@@ -54,7 +54,10 @@ class ResidentEntry:
 
 def _state_nbytes(entry: ResidentEntry) -> int:
     """Approximate resident footprint of a session for the budget: its
-    solver state plus the replay plan its schedule handle compiled."""
+    solver state plus the replay plan its schedule handle compiled.
+
+    Sessions on one matrix share that plan (a store hit returns the same
+    scheduled artifact), so the sum over sessions is an upper bound."""
     total = _ENTRY_OVERHEAD
     plan = entry.prepared.scheduled.cached_plan
     if plan is not None:

@@ -1,4 +1,4 @@
-"""Unit tests for the schedule cache and the parallel corpus runner."""
+"""Unit tests for the artifact store's schedule kind and the corpus runner."""
 
 import os
 
@@ -11,8 +11,8 @@ from repro.analysis.runner import (
     run_over_specs,
 )
 from repro.matrices.collection import corpus_specs
-from repro.scheduling.cache import ScheduleCache
-from repro.scheduling.crhcs import schedule_crhcs
+from repro.pipeline import ArtifactStore, PipelineRunner
+from repro.pipeline.stages import ScheduleStage
 from repro.scheduling.pe_aware import schedule_pe_aware
 
 SPEC = corpus_specs(count=1, nnz_cap=2_000)[0]
@@ -23,81 +23,77 @@ def _build_pe_aware():
     return schedule_pe_aware(MATRIX, DEFAULT_SERPENS)
 
 
-class TestScheduleCache:
+class TestScheduleKind:
     def test_hit_returns_same_object(self):
-        cache = ScheduleCache(capacity=4)
-        first = cache.get_or_build(
-            SPEC, DEFAULT_SERPENS, "pe_aware", _build_pe_aware
-        )
-        second = cache.get_or_build(
-            SPEC, DEFAULT_SERPENS, "pe_aware", _build_pe_aware
-        )
+        store = ArtifactStore(schedule_capacity=4)
+        first = store.get_or_build("schedule", "d0", _build_pe_aware)
+        second = store.get_or_build("schedule", "d0", _build_pe_aware)
         assert first is second
-        assert cache.hits == 1
-        assert cache.misses == 1
+        assert store.stage_hits("schedule") == 1
+        assert store.stage_misses("schedule") == 1
 
     def test_scheme_and_config_partition_the_key_space(self):
-        cache = ScheduleCache(capacity=4)
-        pe_aware = cache.get_or_build(
-            SPEC, DEFAULT_SERPENS, "pe_aware", _build_pe_aware
-        )
-        crhcs = cache.get_or_build(
-            SPEC,
-            DEFAULT_CHASON,
-            "crhcs",
-            lambda: schedule_crhcs(MATRIX, DEFAULT_CHASON),
-        )
-        assert pe_aware is not crhcs
-        assert cache.misses == 2
+        runner = PipelineRunner(ArtifactStore(schedule_capacity=4))
+        pe_aware = runner.schedule(SPEC, "pe_aware", DEFAULT_SERPENS)
+        crhcs = runner.schedule(SPEC, "crhcs", DEFAULT_CHASON)
+        pe_chason = runner.schedule(SPEC, "pe_aware", DEFAULT_CHASON)
+        assert len({id(pe_aware), id(crhcs), id(pe_chason)}) == 3
+        assert runner.store.stage_misses("schedule") == 3
+        # The kind partitions the keys too: one digest, two artifacts.
+        runner.store.put("simulate", pe_aware.fingerprint, "cycles")
+        assert runner.schedule(SPEC, "pe_aware", DEFAULT_SERPENS) is pe_aware
 
     def test_lru_evicts_oldest(self):
-        cache = ScheduleCache(capacity=2)
-        for scheme in ("a", "b", "c"):
-            cache.get_or_build(SPEC, DEFAULT_SERPENS, scheme, _build_pe_aware)
-        assert len(cache) == 2
+        store = ArtifactStore(schedule_capacity=2)
+        for digest in ("a", "b", "c"):
+            store.get_or_build("schedule", digest, _build_pe_aware)
+        assert len(store) == 2
+        assert store.evictions == {"schedule": 1}
         # "a" was evicted: rebuilding it is a miss, "c" is still a hit.
-        cache.get_or_build(SPEC, DEFAULT_SERPENS, "c", _build_pe_aware)
-        assert cache.hits == 1
-        cache.get_or_build(SPEC, DEFAULT_SERPENS, "a", _build_pe_aware)
-        assert cache.misses == 4
+        store.get_or_build("schedule", "c", _build_pe_aware)
+        assert store.stage_hits("schedule") == 1
+        store.get_or_build("schedule", "a", _build_pe_aware)
+        assert store.stage_misses("schedule") == 4
 
     def test_capacity_zero_disables_memoisation(self):
-        cache = ScheduleCache(capacity=0)
-        first = cache.get_or_build(
-            SPEC, DEFAULT_SERPENS, "pe_aware", _build_pe_aware
-        )
-        second = cache.get_or_build(
-            SPEC, DEFAULT_SERPENS, "pe_aware", _build_pe_aware
-        )
+        store = ArtifactStore(schedule_capacity=0)
+        first = store.get_or_build("schedule", "d0", _build_pe_aware)
+        second = store.get_or_build("schedule", "d0", _build_pe_aware)
         assert first is not second
-        assert len(cache) == 0
+        assert len(store) == 0
+        assert store.stage_misses("schedule") == 2
 
-    def test_disk_tier_round_trips_the_wire_format(self, tmp_path):
-        writer = ScheduleCache(capacity=0, disk_dir=str(tmp_path))
-        built = writer.get_or_build(
-            SPEC, DEFAULT_SERPENS, "pe_aware", _build_pe_aware
+    def test_disk_tier_round_trips_the_wire_format(
+        self, tmp_path, monkeypatch
+    ):
+        writer = PipelineRunner(
+            ArtifactStore(schedule_capacity=0, disk_dir=str(tmp_path))
         )
+        built = writer.schedule(SPEC, "pe_aware")
         files = [f for f in os.listdir(tmp_path) if f.endswith(".chsn")]
-        assert len(files) == 1
+        assert files == [f"{built.fingerprint}.chsn"]
 
-        reader = ScheduleCache(capacity=0, disk_dir=str(tmp_path))
-        restored = reader.get_or_build(
-            SPEC,
-            DEFAULT_SERPENS,
-            "pe_aware",
-            lambda: pytest.fail("disk hit expected, build() called"),
+        monkeypatch.setattr(
+            ScheduleStage, "run",
+            lambda *args, **kwargs: pytest.fail(
+                "disk hit expected, schedule built"
+            ),
         )
-        assert reader.hits == 1
-        assert restored.stream_cycles == built.stream_cycles
-        assert restored.nnz == built.nnz
+        reader = ArtifactStore(schedule_capacity=0, disk_dir=str(tmp_path))
+        restored = PipelineRunner(reader).schedule(SPEC, "pe_aware")
+        assert reader.disk_loads == 1
+        assert restored.fingerprint == built.fingerprint
+        assert restored.migration is None
+        assert restored.schedule.stream_cycles == built.schedule.stream_cycles
+        assert restored.schedule.nnz == built.schedule.nnz
         # Wire format stores float32 values; stall structure is exact.
-        assert restored.total_stalls == built.total_stalls
+        assert restored.schedule.total_stalls == built.schedule.total_stalls
 
     def test_clear_resets_counters(self):
-        cache = ScheduleCache(capacity=4)
-        cache.get_or_build(SPEC, DEFAULT_SERPENS, "pe_aware", _build_pe_aware)
-        cache.clear()
-        assert (len(cache), cache.hits, cache.misses) == (0, 0, 0)
+        store = ArtifactStore(schedule_capacity=4)
+        store.get_or_build("schedule", "d0", _build_pe_aware)
+        store.clear()
+        assert (len(store), store.hits, store.misses) == (0, {}, {})
 
 
 def _square(value):

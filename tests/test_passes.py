@@ -20,17 +20,12 @@ from repro.formats.coo import COOMatrix
 from repro.matrices.collection import corpus_specs
 from repro.pipeline import PipelineRunner
 from repro.pipeline.stages import ScheduleStage
-from repro.pipeline.store import ArtifactStore
+from repro.pipeline.store import PASS_CACHE_SIZE, ArtifactStore, budget_from_env
 from repro.scheduling.base import TiledSchedule
-from repro.scheduling.cache import ScheduleCache
 from repro.scheduling.crhcs import schedule_crhcs, schedule_crhcs_tile
 from repro.scheduling.greedy import schedule_greedy_tile
 from repro.scheduling.passes import (
-    IncrementalScheduler,
-    PassArtifactCache,
-    PassManager,
     known_pass_names,
-    pass_cache_capacity,
     resolve_passes,
     schedules_identical,
     validate_pass_name,
@@ -155,17 +150,15 @@ def test_incremental_reschedule_edits_byte_identical_fewer_passes():
 
 
 def test_incremental_scheduler_noop_resumes_every_cacheable_pass():
-    scheme = get_scheme("pe_aware")
-    config = scheme.default_config
+    runner = PipelineRunner()
     matrix = _multi_tile_matrix(3)
-    manager = PassManager(scheme.pass_plan(config, {}), scheme="pe_aware")
-    session = IncrementalScheduler(manager, config, max_rows_per_pass=150)
-    first = session.schedule(matrix)
-    assert "build:pe_aware" in session.last_stats.executed
-    second = session.reschedule(matrix)
-    assert schedules_identical(first, second)
-    assert "build:pe_aware" not in session.last_stats.executed
-    assert session.last_stats.skipped["build:pe_aware"] == len(first.tiles)
+    first = runner.reschedule(matrix, "pe_aware", max_rows_per_pass=150)
+    assert "build:pe_aware" in runner.last_reschedule_stats.executed
+    second = runner.reschedule(matrix, "pe_aware", max_rows_per_pass=150)
+    assert schedules_identical(first.schedule, second.schedule)
+    stats = runner.last_reschedule_stats
+    assert "build:pe_aware" not in stats.executed
+    assert stats.skipped["build:pe_aware"] == len(first.schedule.tiles)
 
 
 def test_reschedule_rejects_non_pass_schemes():
@@ -191,15 +184,14 @@ def test_reschedule_rejects_non_pass_schemes():
 def test_migrate_only_config_change_reuses_build_artifacts():
     """Regression: a MigratePass-only parameter change must reuse every
     cached BuildGridPass artifact instead of rebuilding from scratch."""
-    store = ArtifactStore(schedule_cache=ScheduleCache())
+    store = ArtifactStore(schedule_capacity=16, pass_capacity=128)
     runner = PipelineRunner(store)
     matrix = _multi_tile_matrix(7)
     first = runner.schedule(
         matrix, "crhcs", max_rows_per_pass=150, steal_tries=8
     )
     n_tiles = len(first.schedule.tiles)
-    tier = store.schedule_cache.pass_tier
-    assert tier.hits == 0
+    assert store.stage_hits("pass") == 0
 
     second = runner.schedule(
         matrix, "crhcs", max_rows_per_pass=150, steal_tries=4
@@ -207,12 +199,18 @@ def test_migrate_only_config_change_reuses_build_artifacts():
     # Different steal_tries → different whole-schedule key (no stale
     # hit), but the build prefix of the pass chain is unchanged and
     # every tile resumes from its cached build artifact.
-    assert store.schedule_cache.misses == 2
-    assert tier.hits >= n_tiles
-    assert "build:pe_aware" not in tier.last_stats.executed
-    assert tier.last_stats.skipped["build:pe_aware"] == n_tiles
-    assert tier.last_stats.executed["migrate:crhcs"] == n_tiles
-    assert not schedules_identical(first.schedule, second.schedule) or True
+    assert store.stage_misses("schedule") == 2
+    assert store.stage_hits("pass") >= n_tiles
+    stats = store.last_pass_stats
+    assert "build:pe_aware" not in stats.executed
+    assert stats.skipped["build:pe_aware"] == n_tiles
+    assert stats.executed["migrate:crhcs"] == n_tiles
+    # Resuming is invisible in the output: byte-identical to a cold,
+    # store-less build under the new parameter.
+    cold = PipelineRunner().schedule(
+        matrix, "crhcs", max_rows_per_pass=150, steal_tries=4
+    )
+    assert schedules_identical(second.schedule, cold.schedule)
 
 
 def test_schedule_fingerprint_folds_pass_signature_and_skips_private():
@@ -227,28 +225,37 @@ def test_schedule_fingerprint_folds_pass_signature_and_skips_private():
     assert base != other
     private = ScheduleStage.fingerprint_for(
         "m0", scheme, config,
-        {"split_threshold": 7, "_pass_cache": PassArtifactCache()},
+        {"split_threshold": 7, "_pass_cache": ArtifactStore()},
     )
     assert private == base
 
 
 def test_pass_cache_lru_and_capacity_knob(monkeypatch):
-    cache = PassArtifactCache(capacity=0)
-    assert cache.get("anything") is None
+    empty = ArtifactStore(pass_capacity=0)
+    empty.put("pass", "anything", object())
+    assert empty.get("pass", "anything") is None
+    store = ArtifactStore(pass_capacity=2)
+    for digest in ("a", "b", "c"):
+        store.put("pass", digest, digest)
+    assert store.get("pass", "a") is None
+    assert store.get("pass", "c") == "c"
+    assert store.evictions == {"pass": 1}
     monkeypatch.setenv("REPRO_PASS_CACHE_SIZE", "7")
-    assert pass_cache_capacity() == 7
-    assert PassArtifactCache().capacity == 7
+    assert budget_from_env(PASS_CACHE_SIZE) == 7
     monkeypatch.setenv("REPRO_PASS_CACHE_SIZE", "not-a-number")
     telemetry.reset_warnings()
-    assert pass_cache_capacity() == 128
+    assert budget_from_env(PASS_CACHE_SIZE) == 128
 
 
 def test_schedule_cache_clear_clears_pass_tier():
-    cache = ScheduleCache()
-    tier = cache.pass_tier
-    tier.misses = 3
-    cache.clear()
-    assert tier.misses == 0
+    store = ArtifactStore(schedule_capacity=16, pass_capacity=128)
+    PipelineRunner(store).schedule(
+        _multi_tile_matrix(3), "crhcs", max_rows_per_pass=150
+    )
+    assert store.stage_misses("pass") > 0 and store.last_pass_stats
+    store.clear()
+    assert len(store) == 0
+    assert store.misses == {} and store.last_pass_stats is None
 
 
 # ---------------------------------------------------------------------------

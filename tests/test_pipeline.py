@@ -19,6 +19,8 @@ Three families:
 from __future__ import annotations
 
 import dataclasses
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -45,7 +47,6 @@ from repro.pipeline import (
     fingerprint_config,
     fingerprint_matrix,
 )
-from repro.scheduling.cache import ScheduleCache
 from repro.scheduling.crhcs import MigrationReport, schedule_crhcs
 from repro.scheduling.pe_aware import schedule_pe_aware
 from repro.scheduling.registry import (
@@ -94,9 +95,10 @@ def legacy_report(schedule, cycles, config, name, power_watts):
 
 
 def fresh_runner() -> PipelineRunner:
-    """A runner with a private store (no cross-test pollution)."""
+    """A runner with a private device-shaped store (schedules and pass
+    snapshots on their own budgets; no cross-test pollution)."""
     return PipelineRunner(
-        ArtifactStore(schedule_cache=ScheduleCache())
+        ArtifactStore(schedule_capacity=16, pass_capacity=128)
     )
 
 
@@ -271,8 +273,9 @@ class TestArtifactStore:
             assert store.stage_hits(stage) == 1, stage
             assert store.stage_misses(stage) == 1, stage
         assert second.report == first.report
-        # Cached schedules drop the build-time migration side-channel.
-        assert second.scheduled.migration is None
+        # A memory hit is the built artifact itself (migration report
+        # and compiled replay plan included).
+        assert second.scheduled is first.scheduled
 
     def test_config_change_busts_downstream_but_not_load(self):
         runner = fresh_runner()
@@ -334,21 +337,54 @@ class TestArtifactStore:
             unregister("unit_test_versioned")
 
     def test_schedule_cache_key_includes_version(self):
-        key_v1 = ScheduleCache.key("spec", DEFAULT_SERPENS, "pe_aware", "1")
-        key_v2 = ScheduleCache.key("spec", DEFAULT_SERPENS, "pe_aware", "2")
-        assert key_v1 != key_v2
+        runner = fresh_runner()
+        v1 = get_scheme("pe_aware")
+        v2 = dataclasses.replace(v1, version=v1.version + "-next")
+        first = runner.schedule(CORPUS[0], v1)
+        assert runner.schedule(CORPUS[0], v2) is not first
+        assert runner.store.stage_misses("schedule") == 2
 
     def test_capacity_zero_disables_generic_tier(self):
         runner = PipelineRunner(
-            ArtifactStore(capacity=0, schedule_cache=ScheduleCache())
+            ArtifactStore(capacity=0, schedule_capacity=16)
         )
         runner.analyze(CORPUS[0], "pe_aware")
         runner.analyze(CORPUS[0], "pe_aware")
-        # Schedules still memoise through the ScheduleCache tier; the
-        # generic stages rebuild every time.
+        # Schedules still memoise in their own LRU; the shared-LRU
+        # stages rebuild every time.
         assert runner.store.stage_hits("schedule") == 1
         assert runner.store.stage_hits("simulate") == 0
         assert runner.store.stage_misses("simulate") == 2
+
+    def test_concurrent_lookups_keep_the_counters_exact(self):
+        """More threads than cores on one small store: every lookup is
+        counted exactly once and no LRU outgrows its budget."""
+        store = ArtifactStore(capacity=4, schedule_capacity=3,
+                              pass_capacity=2)
+        kinds = ("load", "schedule", "pass", "simulate")
+        workers, rounds = 8, 300
+
+        def hammer(worker):
+            for i in range(rounds):
+                kind = kinds[(worker + i) % len(kinds)]
+                store.get_or_build(kind, str(i % 7), lambda: (worker, i))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(workers) as pool:
+                futures = [pool.submit(hammer, w) for w in range(workers)]
+                for future in futures:
+                    future.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        for kind in kinds:
+            lookups = store.stage_hits(kind) + store.stage_misses(kind)
+            assert lookups == workers * rounds // len(kinds), kind
+        assert len(store) <= 4 + 3 + 2
+        assert sum(store.evictions.values()) + len(store) <= sum(
+            store.misses.values()
+        )
 
 
 class TestTelemetrySpans:

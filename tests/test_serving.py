@@ -29,8 +29,11 @@ from repro.knobs import RUNTIME_KNOBS, format_knobs, knob
 from repro.matrices.generators import uniform_random
 from repro.pipeline.runner import PipelineRunner
 from repro.pipeline.stages import LoadStage
-from repro.pipeline.store import pipeline_cache_capacity
-from repro.scheduling.cache import schedule_cache_capacity
+from repro.pipeline.store import (
+    PIPELINE_CACHE_SIZE,
+    SCHEDULE_CACHE_SIZE,
+    budget_from_env,
+)
 from repro.scheduling.registry import get_scheme
 from repro.serving import (
     STATUS_ERROR,
@@ -482,8 +485,8 @@ class TestKnobs:
         monkeypatch.setenv("REPRO_PIPELINE_CACHE_SIZE", "banana")
         monkeypatch.setenv("REPRO_SCHEDULE_CACHE_SIZE", "0x10")
         with caplog.at_level(logging.WARNING):
-            assert pipeline_cache_capacity() == 64
-            assert schedule_cache_capacity() == 16
+            assert budget_from_env(PIPELINE_CACHE_SIZE) == 64
+            assert budget_from_env(SCHEDULE_CACHE_SIZE) == 16
         assert "REPRO_PIPELINE_CACHE_SIZE" in caplog.text
         assert "REPRO_SCHEDULE_CACHE_SIZE" in caplog.text
 

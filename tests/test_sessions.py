@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro import telemetry
 from repro.cluster import Cluster
+from repro.cluster.device import DeviceHandle
 from repro.cluster.faults import FaultPlan, FaultSpec
 from repro.core import ChasonAccelerator
 from repro.errors import ConfigError, SessionError
@@ -203,6 +204,17 @@ class TestResidentStateStore:
             manager.close_all()
         _assert_identical(offline, result_a)
         _assert_identical(offline, result_b)
+
+    def test_reopened_session_reuses_the_compiled_plan(self):
+        """On a device store a schedule hit is the stored artifact, so a
+        re-opened session replays the plan the first open compiled."""
+        matrix = laplacian_1d(32)
+        runner = DeviceHandle("dev0").engine.runner
+        first = runner.prepare(matrix, "crhcs")
+        first.execute(np.ones(matrix.n_cols))
+        second = runner.prepare(matrix, "crhcs")
+        assert second.scheduled is first.scheduled
+        assert second.scheduled.cached_plan is not None
 
     def test_replay_plan_counts_against_the_budget(self):
         """A budget that holds one session's plan + state, and two

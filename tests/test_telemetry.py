@@ -14,7 +14,7 @@ from repro.analysis.runner import (
 from repro.config import DEFAULT_CHASON, DEFAULT_SERPENS
 from repro.errors import SimulationError, TelemetryError
 from repro.matrices.collection import corpus_specs
-from repro.scheduling.cache import ScheduleCache
+from repro.pipeline import ArtifactStore, PipelineRunner
 from repro.scheduling.crhcs import MigrationReport, schedule_crhcs
 from repro.scheduling.pe_aware import schedule_pe_aware
 from repro.sim.trace import TRACE_MAX_ENV, ScheduleTrace
@@ -259,38 +259,91 @@ class TestParallelMerge:
         assert run_over_specs(_doubling_worker, [1, 2, 3]) == [2, 4, 6]
 
 
+def _cache_totals(records):
+    """(counter name, stage) → summed value of ``pipeline.cache.*``."""
+    totals = {}
+    for record in records:
+        if record["kind"] == "counter" and record["name"].startswith(
+            "pipeline.cache."
+        ):
+            key = (record["name"], record["attrs"]["stage"])
+            totals[key] = totals.get(key, 0) + record["value"]
+    return totals
+
+
 class TestCacheCounters:
     def test_hits_misses_evictions_reach_telemetry(self):
         with telemetry.capture() as cap:
-            cache = ScheduleCache(capacity=1)
+            store = ArtifactStore(schedule_capacity=1)
             build = lambda: schedule_pe_aware(MATRIX, DEFAULT_SERPENS)
-            cache.get_or_build(SPEC, DEFAULT_SERPENS, "a", build)
-            cache.get_or_build(SPEC, DEFAULT_SERPENS, "a", build)  # hit
-            cache.get_or_build(SPEC, DEFAULT_SERPENS, "b", build)  # evicts a
-        totals = {}
-        for record in cap.records:
-            if record["kind"] == "counter" and record["name"].startswith(
-                "cache."
-            ):
-                totals[record["name"]] = (
-                    totals.get(record["name"], 0) + record["value"]
-                )
-        assert totals["cache.hits"] == cache.hits == 1
-        assert totals["cache.misses"] == cache.misses == 2
-        assert totals["cache.evictions"] == cache.evictions == 1
+            store.get_or_build("schedule", "a", build)
+            store.get_or_build("schedule", "a", build)  # hit
+            store.get_or_build("schedule", "b", build)  # evicts a
+        totals = _cache_totals(cap.records)
+        assert totals[("pipeline.cache.hits", "schedule")] == 1
+        assert totals[("pipeline.cache.misses", "schedule")] == 2
+        assert totals[("pipeline.cache.evictions", "schedule")] == 1
+        assert (store.hits, store.misses, store.evictions) == (
+            {"schedule": 1}, {"schedule": 2}, {"schedule": 1}
+        )
 
     def test_disk_loads_counted(self, tmp_path):
-        writer = ScheduleCache(capacity=0, disk_dir=str(tmp_path))
-        build = lambda: schedule_pe_aware(MATRIX, DEFAULT_SERPENS)
-        writer.get_or_build(SPEC, DEFAULT_SERPENS, "pe_aware", build)
+        writer = ArtifactStore(schedule_capacity=0, disk_dir=str(tmp_path))
+        PipelineRunner(writer).schedule(SPEC, "pe_aware")
         with telemetry.capture() as cap:
-            reader = ScheduleCache(capacity=0, disk_dir=str(tmp_path))
-            reader.get_or_build(SPEC, DEFAULT_SERPENS, "pe_aware", build)
-        names = {
-            r["name"] for r in cap.records if r["kind"] == "counter"
-        }
-        assert "cache.disk_loads" in names
+            reader = ArtifactStore(
+                schedule_capacity=0, disk_dir=str(tmp_path)
+            )
+            PipelineRunner(reader).schedule(SPEC, "pe_aware")
+        totals = _cache_totals(cap.records)
+        assert totals[("pipeline.cache.disk_loads", "schedule")] == 1
         assert reader.disk_loads == 1
+
+    @pytest.mark.parametrize(
+        "budgets",
+        [
+            # device-shaped: a small shared LRU, schedules and pass
+            # snapshots on their own budgets, plus the disk tier
+            {"capacity": 3, "schedule_capacity": 2, "pass_capacity": 4},
+            # every budget 0: nothing is kept, every lookup misses
+            {"capacity": 0, "schedule_capacity": 0, "pass_capacity": 0},
+        ],
+        ids=["device", "budget0"],
+    )
+    def test_every_kind_matches_its_telemetry(self, budgets, tmp_path):
+        specs = corpus_specs(count=3, nnz_cap=2_000)
+        with telemetry.capture() as cap:
+            store = ArtifactStore(disk_dir=str(tmp_path), **budgets)
+            runner = PipelineRunner(store)
+            for _ in range(2):
+                for spec in specs:
+                    runner.analyze(spec, "crhcs")
+                    # resumes from the build pass snapshot
+                    runner.analyze(spec, "crhcs", steal_tries=4)
+                    runner.analyze(spec, "pe_aware")
+                    runner.analyze(spec, "pe_aware")
+                runner.estimate(specs[1], "pe_aware")
+        totals = _cache_totals(cap.records)
+        kinds = set(store.hits) | set(store.misses) | set(store.evictions)
+        assert {"load", "schedule", "simulate", "metrics",
+                "estimate"} <= kinds
+        if budgets["capacity"]:
+            for kind in ("load", "schedule", "pass", "simulate"):
+                assert store.hits[kind] and store.evictions[kind], kind
+        else:
+            assert not store.hits and not store.evictions
+        assert {stage for _name, stage in totals} == kinds
+        for kind in kinds:
+            for name, table in (("hits", store.hits),
+                                ("misses", store.misses),
+                                ("evictions", store.evictions)):
+                assert totals.get((f"pipeline.cache.{name}", kind), 0) == (
+                    table.get(kind, 0)
+                ), (name, kind)
+        assert store.disk_loads > 0
+        assert totals[("pipeline.cache.disk_loads", "schedule")] == (
+            store.disk_loads
+        )
 
 
 class TestMigrationCounters:
