@@ -410,18 +410,57 @@ class ChannelGrid:
             self._max_cycle = top
         self.ensure_length(top + 1)
 
-    def clear_slots(self, cycles: np.ndarray, pes: np.ndarray) -> None:
-        """Bulk-remove elements (migration donor side)."""
-        cycles = np.asarray(cycles, dtype=np.int64)
-        if cycles.size == 0:
+    # -- flat-slot API (CrHCS migration) --------------------------------------
+    #
+    # A flat slot id is ``cycle * pes + pe``: the slot's position in stream
+    # order, and its index into the row-major backing arrays.
+
+    def own_slots(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(flat slots, rows)`` of this channel's private elements in
+        stream order.
+
+        These are the migration candidates CrHCS offers to the previous
+        channel, latest first; elements that already migrated *in* stay
+        put (Fig. 5d migrates only values that originally belonged to the
+        donor).
+        """
+        stored = min(self.length, self._capacity)
+        flat = np.flatnonzero(
+            self._origin_channel[:stored].ravel() == self.channel_id
+        )
+        return flat, self._row[:stored].ravel()[flat]
+
+    def donate(
+        self, slots: List[int], dest: "ChannelGrid", dest_slots: List[int]
+    ) -> None:
+        """Move the elements at flat ``slots`` into the stall slots
+        ``dest_slots`` of ``dest``; the donated slots become stalls.
+
+        Moved elements keep their origin channel and PE — the
+        ``(pvt=0, PE_src)`` metadata of §3.2.
+        """
+        if not slots:
             return
-        self._origin_channel[cycles, pes] = STALL_SENTINEL
-        self._row[cycles, pes] = STALL_SENTINEL
-        self._col[cycles, pes] = STALL_SENTINEL
-        self._origin_pe[cycles, pes] = STALL_SENTINEL
-        self._value[cycles, pes] = 0.0
-        self._count -= int(cycles.size)
+        src = np.asarray(slots, dtype=np.int64)
+        dst = np.asarray(dest_slots, dtype=np.int64)
+        top = int(dst.max()) // dest.pes
+        dest.reserve(top + 1)
+        for mine, theirs, stall in (
+            (self._row, dest._row, STALL_SENTINEL),
+            (self._col, dest._col, STALL_SENTINEL),
+            (self._value, dest._value, 0.0),
+            (self._origin_channel, dest._origin_channel, STALL_SENTINEL),
+            (self._origin_pe, dest._origin_pe, STALL_SENTINEL),
+        ):
+            mine = mine.reshape(-1)
+            theirs.reshape(-1)[dst] = mine[src]
+            mine[src] = stall
+        self._count -= src.size
         self._max_dirty = True
+        dest._count += src.size
+        if top > dest._max_cycle:
+            dest._max_cycle = top
+        dest.ensure_length(top + 1)
 
     # -- compaction ---------------------------------------------------------
 
@@ -474,42 +513,17 @@ class ChannelGrid:
         for cycle, pe in zip(cycles.tolist(), pes.tolist()):
             yield cycle, pe
 
-    def own_arrays_tail_first(
-        self,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray,
-               np.ndarray]:
-        """``(cycles, pes, rows, cols, values, origin_pes)`` of this
-        channel's private elements, latest ``(cycle, pe)`` first.
-
-        These are the migration candidates CrHCS offers to the previous
-        channel; elements that already migrated *in* stay put (Fig. 5d
-        migrates only values that originally belonged to the donor).
-        """
-        cycles, pes = self.occupied_coords()
-        own = self._origin_channel[cycles, pes] == self.channel_id
-        cycles, pes = cycles[own][::-1], pes[own][::-1]
-        return (
-            cycles,
-            pes,
-            self._row[cycles, pes],
-            self._col[cycles, pes],
-            self._value[cycles, pes],
-            self._origin_pe[cycles, pes],
-        )
-
     def own_elements_tail_first(
         self,
     ) -> List[Tuple[int, int, ScheduledElement]]:
         """This channel's private elements, latest cycles first."""
-        cycles, pes, rows, cols, values, ope = self.own_arrays_tail_first()
-        channel_id = self.channel_id
-        return [
-            (cycle, pe, ScheduledElement(row, col, value, channel_id, origin))
-            for cycle, pe, row, col, value, origin in zip(
-                cycles.tolist(), pes.tolist(), rows.tolist(), cols.tolist(),
-                values.tolist(), ope.tolist(),
-            )
+        own = [
+            (cycle, pe, element)
+            for cycle, pe, element in self.iter_elements()
+            if element.origin_channel == self.channel_id
         ]
+        own.reverse()
+        return own
 
 
 @dataclass

@@ -20,7 +20,9 @@ Two modes are provided:
     partial sums live in different ScUG banks and only meet in the
     Reduction Unit.  Donated slots become stalls in the donor (Fig. 5d);
     trailing all-stall cycles are trimmed and all lists are resized to the
-    longest one (§3.1).
+    longest one (§3.1).  The host runs this as one exact pass per tile
+    over flat per-channel lists (:func:`migrate_grids`), slot for slot
+    the reference walk kept in :mod:`repro.scheduling.legacy`.
 
 ``mode="rebuild"``
     An idealised joint construction used for the ablation benchmarks: all
@@ -59,8 +61,10 @@ from .window import Tile, tile_matrix
 
 Matrix = Union[COOMatrix, CSRMatrix]
 
-#: Algorithm revision (cache fingerprint component); "2" is the
-#: optimistic-prefix vectorized migration that replaced the slot walk.
+#: Algorithm revision (cache fingerprint component).  Bump it only when
+#: the schedules change: the per-tile list walk builds the same schedules
+#: as the vectorized migration that set "2", so store fingerprints and
+#: ``.chsn`` images written under "2" stay valid.
 CRHCS_VERSION = "2"
 
 #: How many donor elements a stall examines before staying a stall.
@@ -98,19 +102,30 @@ def migrate_grids(
 ) -> None:
     """Apply the CrHCS ring migration in place (§3.1, Fig. 5).
 
-    The stall scan and the donor tail walk both operate on index arrays
-    extracted once per (destination, donor) step — the destination's holes
-    in stream order and the donor's own elements latest-first — so the
-    inner matching loop touches plain Python ints and one RAW-tracker
-    dict, never a per-slot grid probe.  Accepted transfers are applied to
-    both grids in two bulk array writes at the end of the step.
+    One exact pass per tile, in three phases:
+
+    1. *Extract once.*  Read each channel's occupancy over the equalised
+       length (one byte per flat slot ``cycle * pes + pe``) and its own
+       elements in stream order (flat slots and compact row ids, as plain
+       Python lists).
+    2. *Walk.*  For each (destination, donor) step, scan the destination's
+       occupancy for holes.  A donor's candidate queue is its own-element
+       list read from the end (latest first), so taking the first
+       RAW-eligible candidate in the ``steal_tries`` window pops it in
+       O(window) and leaves the skipped ones in order.  Eligibility is one
+       lookup in the hole PE's expiry list.  Occupancy is updated as
+       slots move, so a donated slot is a hole when its channel's turn as
+       destination comes (Fig. 5d).
+    3. *Apply.*  When the ring finishes, every step's transfers are
+       written to the grids in bulk, in step order.
+
+    The result is slot-for-slot the walk of
+    :func:`repro.scheduling.legacy.legacy_migrate_grids`.
     """
     if steal_tries < 1:
         raise SchedulingError("steal_tries must be >= 1")
     channels = len(grids)
     distance = config.accumulator_latency
-    prefix_slots = 0
-    walk_slots = 0
     if report is not None:
         report.own_issues += sum(g.element_count for g in grids)
     if migration_span == 0 or channels < 2:
@@ -125,138 +140,97 @@ def migrate_grids(
     for grid in grids:
         grid.ensure_length(longest)
 
+    # Phase 1.  A donor's queue is its own elements in stream order, so
+    # the queue front (its latest element) is the end of the list.
+    pes = config.pes_per_channel
+    occupancy = [
+        bytearray(grid.occupied_mask(longest).tobytes()) for grid in grids
+    ]
+    own = [grid.own_slots() for grid in grids]
+    row_ids = np.unique(np.concatenate([rows for _, rows in own]))
+    queue_slots = [slots.tolist() for slots, _ in own]
+    queue_rows = [np.searchsorted(row_ids, rows).tolist() for _, rows in own]
+    # expiry[pe][row id]: the first cycle at which the row may issue again
+    # in that PE of the current destination (§3.3), kept as the flat slot
+    # id of that cycle's PE 0 plus ``base`` so a hole's flat id compares
+    # directly.  Each destination raises ``base`` past every entry its
+    # predecessors left, so those read as expired without a reset.
+    expiry = [[0] * row_ids.size for _ in range(pes)]
+    reach = distance * pes
+    base = 0
+
+    # Phase 2.
+    moves: List[Tuple[int, int, List[int], List[int]]] = []
+    prefix_slots = 0
+    walk_slots = 0
     for c in range(channels):
-        dest = grids[c]
-        dest_length = dest.length
-        tracker: Dict[Tuple[int, int], int] = {}
-        tracker_get = tracker.get
+        occ = occupancy[c]
+        find_hole = occ.find
+        fresh = True
         for step in range(1, migration_span + 1):
             donor_id = (c + step) % channels
-            donor = grids[donor_id]
-            (cand_cycles, cand_pes, cand_rows, cand_cols, cand_values,
-             cand_origin_pes) = donor.own_arrays_tail_first()
-            if cand_cycles.size == 0:
+            slots = queue_slots[donor_id]
+            rows = queue_rows[donor_id]
+            if not slots:
                 continue
-            hole_cycles, hole_pes = dest.hole_coords(dest_length)
-            n_cand = cand_cycles.size
-            pairs = min(n_cand, hole_cycles.size)
-
-            # Optimistic vectorized pass: while no candidate is ever
-            # skipped, hole i simply takes candidate i.  A lexsort groups
-            # the tentative assignments by (dest PE, row); a RAW violation
-            # is two same-group assignments fewer than ``distance`` cycles
-            # apart (hole cycles ascend, so checking neighbours suffices).
-            # Everything before the first violation is exactly what the
-            # sequential walk would accept, so it is taken wholesale and
-            # the walk resumes from the violating hole.
-            prefix = 0
-            if pairs and not tracker:
-                a_pe = hole_pes[:pairs]
-                a_cycle = hole_cycles[:pairs]
-                a_row = cand_rows[:pairs]
-                group = np.lexsort((np.arange(pairs), a_row, a_pe))
-                same = (a_pe[group][1:] == a_pe[group][:-1]) & (
-                    a_row[group][1:] == a_row[group][:-1]
-                )
-                close = (a_cycle[group][1:] - a_cycle[group][:-1]) < distance
-                violation = same & close
-                if not violation.any():
-                    prefix = pairs
-                else:
-                    prefix = int(group[1:][violation].min())
-
-            migrated_here = prefix
+            donor_occ = occupancy[donor_id]
+            taken: List[int] = []
+            filled: List[int] = []
             raw_skips = 0
-            accepted: List[int] = []
-            accepted_cycles: List[int] = []
-            accepted_pes: List[int] = []
-            if prefix < pairs:
-                # Sequential tail from the first RAW conflict on, seeded
-                # with the tracker state the prefix would have built.
-                hole_pes_list = hole_pes[prefix:].tolist()
-                hole_cycles_list = hole_cycles[prefix:].tolist()
-                cand_rows_list = cand_rows.tolist()
-                for j in range(prefix):
-                    tracker[
-                        (int(hole_pes[j]), cand_rows_list[j])
-                    ] = int(hole_cycles[j]) + distance
-                # Candidate ids walk the donor tail-first; skipped ids
-                # return to the front of the deque in original order.
-                candidates: Deque[int] = deque(range(prefix, n_cand))
-                skipped: List[int] = []
-                for cycle, pe in zip(hole_cycles_list, hole_pes_list):
-                    if not candidates:
-                        break
-                    found = -1
-                    tries = steal_tries
-                    if tries > len(candidates):
-                        tries = len(candidates)
-                    for _ in range(tries):
-                        candidate = candidates.popleft()
-                        if tracker_get(
-                            (pe, cand_rows_list[candidate]), 0
-                        ) <= cycle:
-                            found = candidate
+            # The step's prefix (``scheduler.crhcs.prefix_slots``): slots
+            # filled before its first RAW skip, counted only while nothing
+            # has migrated into this destination yet.
+            prefix = -1
+            hole = find_hole(0)
+            while hole >= 0 and slots:
+                pe = hole % pes
+                now = base + hole
+                pe_expiry = expiry[pe]
+                j = len(rows) - 1
+                if pe_expiry[rows[j]] > now:
+                    if prefix < 0:
+                        prefix = len(taken)
+                    front = j
+                    stop = front - steal_tries
+                    if stop < -1:
+                        stop = -1
+                    for j in range(front - 1, stop, -1):
+                        if pe_expiry[rows[j]] <= now:
                             break
-                        skipped.append(candidate)
-                        raw_skips += 1
-                    if skipped:
-                        candidates.extendleft(reversed(skipped))
-                        skipped.clear()
-                    if found >= 0:
-                        accepted.append(found)
-                        accepted_cycles.append(cycle)
-                        accepted_pes.append(pe)
-                        tracker[(pe, cand_rows_list[found])] = (
-                            cycle + distance
-                        )
-                        migrated_here += 1
-            elif prefix and step < migration_span:
-                # Later donor steps reuse this tracker; materialise the
-                # entries the wholesale accept implies.
-                rows_list = cand_rows[:prefix].tolist()
-                pes_list = hole_pes[:prefix].tolist()
-                cycles_list = hole_cycles[:prefix].tolist()
-                for pe_i, row_i, cycle_i in zip(
-                    pes_list, rows_list, cycles_list
-                ):
-                    tracker[(pe_i, row_i)] = cycle_i + distance
+                    else:
+                        j = stop
+                    raw_skips += front - j
+                    if j == stop:
+                        hole = find_hole(0, hole + 1)
+                        continue
+                pe_expiry[rows.pop(j)] = now - pe + reach
+                slot = slots.pop(j)
+                donor_occ[slot] = 0
+                occ[hole] = 1
+                taken.append(slot)
+                filled.append(hole)
+                hole = find_hole(0, hole + 1)
 
+            migrated_here = len(taken)
             if migrated_here:
-                if accepted:
-                    taken = np.concatenate([
-                        np.arange(prefix, dtype=np.int64),
-                        np.asarray(accepted, dtype=np.int64),
-                    ])
-                    new_cycles = np.concatenate([
-                        hole_cycles[:prefix],
-                        np.asarray(accepted_cycles, dtype=np.int64),
-                    ])
-                    new_pes = np.concatenate([
-                        hole_pes[:prefix],
-                        np.asarray(accepted_pes, dtype=np.int64),
-                    ])
-                else:
-                    taken = np.arange(prefix, dtype=np.int64)
-                    new_cycles = hole_cycles[:prefix]
-                    new_pes = hole_pes[:prefix]
-                donor.clear_slots(cand_cycles[taken], cand_pes[taken])
-                dest.fill_slots(
-                    new_cycles,
-                    new_pes,
-                    cand_rows[taken],
-                    cand_cols[taken],
-                    cand_values[taken],
-                    donor_id,
-                    cand_origin_pes[taken],
-                )
+                moves.append((c, donor_id, taken, filled))
+            if not fresh:
+                prefix = 0
+            elif prefix < 0:
+                prefix = migrated_here
             prefix_slots += prefix
-            walk_slots += len(accepted)
+            walk_slots += migrated_here - prefix
+            fresh = fresh and not migrated_here
             if report is not None and (migrated_here or raw_skips):
                 report.own_issues -= migrated_here
                 report.migrated += migrated_here
                 report.raw_skips += raw_skips
                 report.pair_counts[(c, donor_id)] += migrated_here
+        base += (longest + distance) * pes
+
+    # Phase 3.
+    for c, donor_id, taken, filled in moves:
+        grids[donor_id].donate(taken, grids[c], filled)
 
     t = telemetry.get()
     if t.enabled:

@@ -1,16 +1,28 @@
-"""Differential test: vectorized schedulers vs the legacy slot-at-a-time
-builders, slot-for-slot, over a seeded mini-corpus."""
+"""Differential test: the fast schedulers vs the legacy slot-at-a-time
+builders, slot-for-slot, over a seeded mini-corpus, hypothesis-drawn
+small configurations and the 128 x 128 all-migrate regime."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.config import DEFAULT_CHASON, DEFAULT_SERPENS
+from repro.config import DEFAULT_CHASON, DEFAULT_SERPENS, ChasonConfig
+from repro.formats.coo import COOMatrix
 from repro.matrices.collection import corpus_specs
-from repro.scheduling.crhcs import MigrationReport, schedule_crhcs
+from repro.matrices.generators import uniform_random
+from repro.scheduling.crhcs import (
+    MigrationReport,
+    migrate_grids,
+    schedule_crhcs,
+)
 from repro.scheduling.legacy import (
+    legacy_migrate_grids,
     legacy_schedule_crhcs,
     legacy_schedule_pe_aware,
 )
-from repro.scheduling.pe_aware import schedule_pe_aware
+from repro.scheduling.pe_aware import pe_aware_grids, schedule_pe_aware
+from repro.scheduling.window import tile_matrix
 
 MINI_CORPUS = list(corpus_specs(count=30, nnz_cap=4_000))
 
@@ -66,3 +78,75 @@ def test_crhcs_matches_legacy_wider_span():
         fast = schedule_crhcs(matrix, config)
         slow = legacy_schedule_crhcs(matrix, config)
         _assert_schedules_identical(fast, slow)
+
+
+def _assert_reports_identical(fast, slow):
+    assert (fast.migrated, fast.own_issues, fast.raw_skips) == (
+        slow.migrated, slow.own_issues, slow.raw_skips
+    )
+    assert dict(fast.pair_counts) == dict(slow.pair_counts)
+
+
+@st.composite
+def migration_cases(draw):
+    """A small random configuration, matrix, span and ``steal_tries``."""
+    channels = draw(st.integers(2, 6))
+    pes = draw(st.integers(1, 8))
+    config = ChasonConfig(
+        sparse_channels=channels,
+        pes_per_channel=pes,
+        scug_size=min(4, pes),
+        accumulator_latency=draw(st.integers(1, 12)),
+    )
+    n_rows = draw(st.integers(1, 96))
+    n_cols = draw(st.integers(1, 48))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = n_rows * n_cols
+    nnz = int(rng.integers(0, min(cells, 600) + 1))
+    flat = np.sort(rng.choice(cells, size=nnz, replace=False))
+    matrix = COOMatrix(
+        (n_rows, n_cols), flat // n_cols, flat % n_cols,
+        rng.uniform(0.5, 1.5, size=nnz).astype(np.float32),
+    )
+    span = draw(st.integers(1, channels - 1))
+    steal_tries = draw(st.integers(1, 9))
+    return config, matrix, span, steal_tries
+
+
+@settings(max_examples=400, deadline=None)
+@given(migration_cases())
+def test_migrate_grids_matches_legacy_walk(case):
+    """Every tile, report field and slot agrees with the legacy walk."""
+    config, matrix, span, steal_tries = case
+    for tile in tile_matrix(matrix, config):
+        fast_grids = pe_aware_grids(tile, config)
+        slow_grids = [grid.clone() for grid in fast_grids]
+        fast_report = MigrationReport()
+        slow_report = MigrationReport()
+        migrate_grids(
+            fast_grids, config, span,
+            steal_tries=steal_tries, report=fast_report,
+        )
+        legacy_migrate_grids(
+            slow_grids, config, span,
+            steal_tries=steal_tries, report=slow_report,
+        )
+        assert [(g.length, dict(g.occupied.items())) for g in fast_grids] == [
+            (g.length, dict(g.occupied.items())) for g in slow_grids
+        ]
+        _assert_reports_identical(fast_report, slow_report)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_all_migrate_regime_matches_legacy(seed):
+    """128 x 128 uniform matrices with 1,800 non-zeros: one row per PE, so
+    every non-zero migrates and the walk is all of the migration pass."""
+    matrix = uniform_random(128, 128, 1_800, seed=seed)
+    fast_report = MigrationReport()
+    slow_report = MigrationReport()
+    fast = schedule_crhcs(matrix, DEFAULT_CHASON, report=fast_report)
+    slow = legacy_schedule_crhcs(matrix, DEFAULT_CHASON, report=slow_report)
+    _assert_schedules_identical(fast, slow)
+    _assert_reports_identical(fast_report, slow_report)
+    assert fast_report.migrated == 1_800
+    assert fast_report.own_issues == 0

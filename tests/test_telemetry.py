@@ -2,6 +2,7 @@
 
 import json
 import logging
+from dataclasses import replace
 
 import pytest
 
@@ -14,6 +15,8 @@ from repro.analysis.runner import (
 from repro.config import DEFAULT_CHASON, DEFAULT_SERPENS
 from repro.errors import SimulationError, TelemetryError
 from repro.matrices.collection import corpus_specs
+from repro.matrices.generators import uniform_random
+from repro.matrices.named import generate_named
 from repro.pipeline import ArtifactStore, PipelineRunner
 from repro.scheduling.crhcs import MigrationReport, schedule_crhcs
 from repro.scheduling.pe_aware import schedule_pe_aware
@@ -372,6 +375,38 @@ class TestMigrationCounters:
             if r["name"] == "scheduler.crhcs.walk_slots"
         )
         assert prefix + walk == report.migrated
+
+    @pytest.mark.parametrize(
+        "source, span, prefix, walk",
+        [
+            ("CollegeMsg", 1, 137, 20_159),
+            ("CollegeMsg", 2, 126, 20_170),
+            ("uniform128", 1, 151, 1_649),
+        ],
+    )
+    def test_prefix_walk_split_is_pinned(self, source, span, prefix, walk):
+        """Golden split: a step's prefix is the slots it fills before its
+        first RAW skip when nothing has migrated into its destination
+        yet; every other migrated slot is a walk slot."""
+        if source == "uniform128":
+            matrix = uniform_random(128, 128, 1_800, seed=0)
+        else:
+            matrix = generate_named(source)
+        config = replace(DEFAULT_CHASON, migration_span=span)
+        with telemetry.capture() as cap:
+            schedule_crhcs(matrix, config)
+        totals = {
+            name: sum(
+                r["value"] for r in cap.records if r["name"] == name
+            )
+            for name in (
+                "scheduler.crhcs.prefix_slots", "scheduler.crhcs.walk_slots"
+            )
+        }
+        assert totals == {
+            "scheduler.crhcs.prefix_slots": prefix,
+            "scheduler.crhcs.walk_slots": walk,
+        }
 
 
 class TestWarnOnce:
