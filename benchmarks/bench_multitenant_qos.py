@@ -268,14 +268,15 @@ def build_cluster_workload(quick: bool):
     device's cache budget but shards comfortably across three — the same
     aggregate-capacity effect ``bench_cluster_scaling.py`` isolates, so
     adding devices genuinely lowers latency."""
-    # 24 distinct jobs against an 8-artifact per-device budget: one
-    # device thrashes its LRU over the whole set, three devices hold
-    # their 8-job shards resident.  The repeats make the re-referenced
-    # set the whole distinct set (a pass long enough for the 50 ms
-    # autoscaler loop to observe depth, act, and cool down twice).
+    # 24 distinct jobs against a 16-schedule per-device budget: one
+    # device cycles its schedule LRU through the whole set, while the
+    # largest shard of a three-device ring (14 jobs) stays resident.
+    # The repeats make the re-referenced set the whole distinct set (a
+    # pass long enough for the 50 ms autoscaler loop to observe depth,
+    # act, and cool down twice).
     distinct = 24
     repeats = 4 if quick else 6
-    budgets = {"store_capacity": 8, "schedule_capacity": 4}
+    budgets = {"store_capacity": 8, "schedule_capacity": 16}
     matrices = [
         uniform_random(256, 256, 8_000, seed=52_000 + index)
         for index in range(distinct)
@@ -333,27 +334,6 @@ def drive_cluster(cluster, requests):
 def run_cluster_arm(label, requests, budgets, autoscale, reference):
     """One cluster arm: warm-up pass (where the autoscaler scales),
     then the timed pass at steady state."""
-    import os
-
-    # The per-device memory slice includes the pass-artifact tier
-    # (2 tile snapshots per job here): left at its 128-snapshot
-    # default it holds the whole distinct set on ONE device, hiding
-    # the aggregate-capacity effect scaling out buys.  24 snapshots
-    # = 12 jobs: a 3-device shard stays resident, the full 24-job
-    # set on one device thrashes.  Applied to both arms alike.
-    previous = os.environ.get("REPRO_PASS_CACHE_SIZE")
-    os.environ["REPRO_PASS_CACHE_SIZE"] = "24"
-    try:
-        return _run_cluster_arm(label, requests, budgets, autoscale,
-                                reference)
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_PASS_CACHE_SIZE", None)
-        else:
-            os.environ["REPRO_PASS_CACHE_SIZE"] = previous
-
-
-def _run_cluster_arm(label, requests, budgets, autoscale, reference):
     # Hedging off (2 s >> any wait here): a one-device fleet *cannot*
     # hedge, so leaving it on would hand the multi-device arm duplicate
     # work the fixed arm never pays — the comparison must be clean.

@@ -3,8 +3,9 @@
 A :class:`DeviceHandle` models one accelerator card in the fleet: its
 own :class:`~repro.serving.engine.ServingEngine` over one *private*
 :class:`~repro.pipeline.store.ArtifactStore` — a fixed per-device cache
-budget (shared artifacts, schedules, pass snapshots), the way each card
-owns a fixed slice of HBM.  Sharding multiplies the fleet's aggregate
+budget, the way each card owns a fixed slice of HBM: at most
+``store_capacity`` shared artifacts plus ``schedule_capacity``
+schedules, and nothing else.  Sharding multiplies the fleet's aggregate
 cache, which is exactly what the router's fingerprint affinity
 exploits.
 
@@ -21,7 +22,7 @@ from __future__ import annotations
 import threading
 from typing import Any, Dict, Optional
 
-from ..pipeline.store import PASS_CACHE_SIZE, ArtifactStore, budget_from_env
+from ..pipeline.store import ArtifactStore
 from ..serving.engine import ServingEngine, Ticket
 from ..serving.request import SpMVRequest
 from .faults import FaultInjector
@@ -128,9 +129,7 @@ class DeviceHandle:
     ):
         self.device_id = device_id
         self.store = ArtifactStore(
-            capacity=store_capacity,
-            schedule_capacity=schedule_capacity,
-            pass_capacity=budget_from_env(PASS_CACHE_SIZE),
+            capacity=store_capacity, schedule_capacity=schedule_capacity
         )
         self.engine = ServingEngine(
             workers=workers,

@@ -70,15 +70,9 @@ RUNTIME_KNOBS: Tuple[Knob, ...] = (
     Knob("REPRO_PIPELINE_CACHE_SIZE", "cache", "64",
          "global artifact store's shared LRU (load/simulate/metrics/"
          "estimate); 0 disables it"),
-    Knob("REPRO_PASS_CACHE_SIZE", "cache", "128",
-         "per-tile pass snapshots (keyed by pass digest chain) in device "
-         "and global stores and behind incremental rescheduling; "
-         "0 disables"),
     # telemetry
     Knob("REPRO_TELEMETRY", "telemetry", None,
          "JSONL trace path ('-' streams to stderr); unset disables"),
-    Knob("REPRO_TRACE_MAX_CYCLES", "telemetry", "512",
-         "cycle-timeline render guard for the trace renderer"),
     Knob("REPRO_TRACE_SAMPLE", "telemetry", "1.0",
          "fraction of requests that start a trace (deterministic in "
          "request id); invalid values warn and fall back"),

@@ -56,7 +56,7 @@ from .stages import (
     ScheduleStage,
     SimulateStage,
 )
-from .store import PASS_CACHE_SIZE, ArtifactStore, budget_from_env
+from .store import ArtifactStore
 
 _LOAD = LoadStage()
 _SCHEDULE = ScheduleStage()
@@ -66,6 +66,10 @@ _ESTIMATE = EstimateStage()
 
 #: Result of either tier: both expose ``.report`` and ``.fidelity``.
 AnalysisResult = Union[PipelineResult, EstimateResult]
+
+#: Tile snapshots a runner keeps for :meth:`PipelineRunner.reschedule`
+#: (one LRU, evicted least recent first).
+RESCHEDULE_CAPACITY = 128
 
 
 class PreparedSpMV:
@@ -128,7 +132,8 @@ class PipelineRunner:
 
     def __init__(self, store: Optional[ArtifactStore] = None):
         self.store = store
-        # The pass snapshots behind :meth:`reschedule` (made on first use).
+        # The pass snapshots :meth:`reschedule` resumes from, the only
+        # ones any store keeps (made on first use).
         self._reschedule_store: Optional[ArtifactStore] = None
         #: Pass execution counts of the last :meth:`reschedule` call.
         self.last_reschedule_stats = None
@@ -172,6 +177,11 @@ class PipelineRunner:
         ``config`` defaults to the spec's ``default_config``.  Extra
         keyword arguments go to the scheduler verbatim and participate in
         the fingerprint.
+
+        With a store attached there is one path: a memory hit, else the
+        §3.2 disk image, else a cold build that the store then keeps.
+        No tile resumes from a pass snapshot here; only
+        :meth:`reschedule` does that.
         """
         loaded = self.load(source)
         spec = scheme if isinstance(scheme, SchedulerSpec) else get_scheme(scheme)
@@ -192,9 +202,8 @@ class PipelineRunner:
 
             def build() -> ScheduledMatrix:
                 # A memory miss reads the §3.2 disk image when there is
-                # one; otherwise every tile resumes from the deepest
-                # pass snapshot the store holds (say after a
-                # MigratePass-only config change).
+                # one, else builds cold on the pass manager's
+                # snapshot-free hot path.
                 schedule = store.read_schedule(digest, config)
                 if schedule is not None:
                     return ScheduledMatrix(
@@ -205,8 +214,7 @@ class PipelineRunner:
                         fingerprint=digest,
                     )
                 artifact = _SCHEDULE.run(
-                    loaded, spec, config, scheduler_kwargs, digest,
-                    pass_cache=store if store.pass_capacity else None,
+                    loaded, spec, config, scheduler_kwargs, digest
                 )
                 store.write_schedule(digest, artifact.schedule)
                 return artifact
@@ -223,7 +231,7 @@ class PipelineRunner:
         """Incrementally reschedule an (edited) matrix.
 
         Schedules through a pass-only store the runner keeps for these
-        calls (``REPRO_PASS_CACHE_SIZE`` tile snapshots): the first call
+        calls (:data:`RESCHEDULE_CAPACITY` tile snapshots): the first call
         is a cold schedule that warms it, and every later call diffs
         per-pass input fingerprints against it and re-runs only the
         invalidated passes — an in-place edit to the matrix rebuilds
@@ -248,7 +256,7 @@ class PipelineRunner:
         passes = self._reschedule_store
         if passes is None:
             passes = self._reschedule_store = ArtifactStore(
-                capacity=0, pass_capacity=budget_from_env(PASS_CACHE_SIZE)
+                capacity=RESCHEDULE_CAPACITY
             )
         digest = _SCHEDULE.fingerprint_for(
             loaded.fingerprint, spec, config, scheduler_kwargs

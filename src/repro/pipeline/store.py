@@ -2,27 +2,25 @@
 
 Everything the reproduction caches is an artifact named by its content
 fingerprint: a loaded matrix, a schedule (the per-channel HBM image the
-host builds once, §3.2), a per-tile pass snapshot, a cycle count, a
-report.  The store keys them all by ``(kind, fingerprint)``, where the
+host builds once, §3.2), a cycle count, a report, and — only inside the
+store behind :meth:`PipelineRunner.reschedule` — a per-tile pass
+snapshot.  The store keys them all by ``(kind, fingerprint)``, where the
 kind is a stage name (``load``/``schedule``/``simulate``/``metrics``/
-``estimate``) or ``pass`` (the per-tile snapshots the pass manager
-resumes from).  A corpus re-run with one changed stage therefore
-recomputes only that stage and the ones downstream of it —
+``estimate``) or ``pass``.  A corpus re-run with one changed stage
+therefore recomputes only that stage and the ones downstream of it —
 
 * change a scheduler version or an ``AcceleratorConfig`` field → the
-  load artifact still hits, schedule/simulate/metrics rebuild (and the
-  schedule's tiles resume from every pass snapshot upstream of the
-  change);
+  load artifact still hits, schedule/simulate/metrics rebuild;
 * change only the accelerator power model → load, schedule and simulate
   all hit, only metrics rebuilds;
 * change the matrix → everything for that matrix rebuilds, entries for
   other matrices are untouched.
 
 **Budgets.**  Schedules get their own LRU when the store is given a
-``schedule_capacity``, pass snapshots always have their own
-(``pass_capacity``; ``0``, the default, keeps none), and every other
-kind shares one LRU of ``capacity`` artifacts.  A budget of ``0``
-stores nothing of that kind: every lookup misses.
+``schedule_capacity``; every other kind shares one LRU of ``capacity``
+artifacts.  So a store never holds more than ``capacity +
+schedule_capacity`` artifacts.  A budget of ``0`` stores nothing of
+that kind: every lookup misses.
 
 **Disk tier.**  With ``disk_dir`` set, schedules are also written as
 ``<fingerprint>.chsn`` files in the §3.2 wire format
@@ -52,14 +50,12 @@ from ..scheduling.serialize import deserialize_schedule, serialize_schedule
 
 PIPELINE_CACHE_SIZE = "REPRO_PIPELINE_CACHE_SIZE"
 SCHEDULE_CACHE_SIZE = "REPRO_SCHEDULE_CACHE_SIZE"
-PASS_CACHE_SIZE = "REPRO_PASS_CACHE_SIZE"
 SCHEDULE_CACHE_DIR = "REPRO_SCHEDULE_CACHE_DIR"
 
 #: Budget knob → (default, unit for the fallback warning).
 _BUDGETS = {
     PIPELINE_CACHE_SIZE: (64, "artifacts"),
     SCHEDULE_CACHE_SIZE: (16, "schedules"),
-    PASS_CACHE_SIZE: (128, "tile snapshots"),
 }
 
 
@@ -78,12 +74,11 @@ class ArtifactStore:
         self,
         capacity: int = _BUDGETS[PIPELINE_CACHE_SIZE][0],
         schedule_capacity: Optional[int] = None,
-        pass_capacity: int = 0,
         disk_dir: Optional[str] = None,
     ):
         self._shared = _Lru(capacity)
         #: kind → its own LRU; every other kind shares ``_shared``.
-        self._own: Dict[str, _Lru] = {"pass": _Lru(pass_capacity)}
+        self._own: Dict[str, _Lru] = {}
         if schedule_capacity is not None:
             self._own["schedule"] = _Lru(schedule_capacity)
         self.disk_dir = disk_dir
@@ -98,12 +93,8 @@ class ArtifactStore:
         self.disk_loads = 0
         #: Execution counts of the last pass-manager run that resumed
         #: from this store (a :class:`~repro.scheduling.passes.PassRunStats`,
-        #: set by :meth:`PassManager.run`).
+        #: set by :meth:`PassManager.run`); only a reschedule store has them.
         self.last_pass_stats = None
-
-    @property
-    def pass_capacity(self) -> int:
-        return self._own["pass"].capacity
 
     def __len__(self) -> int:
         with self._lock:
@@ -242,19 +233,17 @@ _GLOBAL: Optional[ArtifactStore] = None
 
 
 def global_artifact_store() -> ArtifactStore:
-    """The process-wide store, configured from the four cache knobs once.
+    """The process-wide store, configured from the three cache knobs once.
 
     ``REPRO_PIPELINE_CACHE_SIZE`` bounds the shared LRU,
-    ``REPRO_SCHEDULE_CACHE_SIZE`` the schedules, ``REPRO_PASS_CACHE_SIZE``
-    the pass snapshots, and ``REPRO_SCHEDULE_CACHE_DIR`` turns on the
-    disk tier.
+    ``REPRO_SCHEDULE_CACHE_SIZE`` the schedules, and
+    ``REPRO_SCHEDULE_CACHE_DIR`` turns on the disk tier.
     """
     global _GLOBAL
     if _GLOBAL is None:
         _GLOBAL = ArtifactStore(
             capacity=budget_from_env(PIPELINE_CACHE_SIZE),
             schedule_capacity=budget_from_env(SCHEDULE_CACHE_SIZE),
-            pass_capacity=budget_from_env(PASS_CACHE_SIZE),
             disk_dir=os.environ.get(SCHEDULE_CACHE_DIR) or None,
         )
     return _GLOBAL

@@ -10,40 +10,14 @@ renderer enforces a size limit.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import SimulationError
 from ..scheduling.base import ChannelGrid, Schedule
-from .. import telemetry
 
 #: Render guard: timelines beyond this many cycles are refused by default.
 MAX_RENDER_CYCLES = 512
-
-#: Environment override for the render guard (an integer cycle count).
-TRACE_MAX_ENV = "REPRO_TRACE_MAX_CYCLES"
-
-
-def resolve_render_limit(max_cycles: Optional[int] = None) -> int:
-    """The effective render guard: argument > env var > default.
-
-    An unparsable ``REPRO_TRACE_MAX_CYCLES`` falls back to the default
-    with a one-time warning through the telemetry/logging path.
-    """
-    if max_cycles is not None:
-        return max_cycles
-    raw = os.environ.get(TRACE_MAX_ENV, "").strip()
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            telemetry.warn_once(
-                "invalid_trace_max_cycles",
-                f"{TRACE_MAX_ENV}={raw!r} is not an integer; using the "
-                f"default render limit of {MAX_RENDER_CYCLES} cycles",
-            )
-    return MAX_RENDER_CYCLES
 
 
 @dataclass
@@ -102,12 +76,11 @@ class ScheduleTrace:
         return max(self.timelines.values(), key=lambda t: t.busy_cycles)
 
     def render(self, max_cycles: Optional[int] = None) -> str:
-        limit = resolve_render_limit(max_cycles)
+        limit = MAX_RENDER_CYCLES if max_cycles is None else max_cycles
         if self.cycles > limit:
             raise SimulationError(
                 f"timeline of {self.cycles} cycles exceeds the render "
-                f"limit of {limit}; pass render(max_cycles=...) or set "
-                f"{TRACE_MAX_ENV} to raise it"
+                f"limit of {limit}; pass render(max_cycles=...) to raise it"
             )
         return "\n".join(
             self.timelines[key].render()

@@ -301,6 +301,31 @@ class TestByteIdentity:
         assert result.device == ""
 
 
+class TestDeviceBudget:
+    def test_a_device_holds_exactly_its_budget(self):
+        """A device keeps at most ``store_capacity + schedule_capacity``
+        artifacts, the budget the cluster gates are written against: no
+        pass snapshot ever enters its store."""
+        matrices = [
+            uniform_random(40, 40, 200, seed=500 + index)
+            for index in range(4)
+        ]
+        jobs = [
+            SpMVRequest(matrix, scheme=scheme)
+            for matrix in matrices
+            for scheme in ("crhcs", "pe_aware")
+        ]
+        with Cluster(devices=1, store_capacity=4, schedule_capacity=2,
+                     fidelity="exact", fault_plan=FaultPlan()) as cluster:
+            store = cluster.devices["dev0"].store
+            for request in jobs + jobs:
+                assert cluster.execute(request).ok
+                assert len(store) <= 4 + 2
+                for table in (store.hits, store.misses, store.evictions):
+                    assert "pass" not in table
+        assert store.evictions["schedule"]  # the budget was under load
+
+
 class TestFailover:
     def test_crash_mid_run_fails_over_byte_identically(self):
         """ISSUE property: device loss mid-run answers every request,

@@ -1,4 +1,8 @@
-"""Configuration validation and derived quantities."""
+"""Configuration validation, derived quantities, and the knob inventory."""
+
+import ast
+import re
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,9 @@ from repro.config import (
     paper_configs,
 )
 from repro.errors import ConfigError
+from repro.knobs import RUNTIME_KNOBS
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 class TestHBMConfig:
@@ -113,3 +120,24 @@ class TestPublishedConfigs:
 
     def test_serpens_is_accelerator_config(self):
         assert isinstance(SerpensConfig(), AcceleratorConfig)
+
+
+def test_knob_inventory_is_one_list():
+    """``RUNTIME_KNOBS`` is the one inventory of ``REPRO_*`` knobs: the
+    EXPERIMENTS.md table lists exactly its names, and every knob name
+    spelled as a string literal under ``src/`` is registered."""
+    names = {entry.name for entry in RUNTIME_KNOBS}
+    text = (REPO / "EXPERIMENTS.md").read_text(encoding="utf-8")
+    table = set(re.findall(r"^\| `(REPRO_[A-Z0-9_]+)` \|", text, re.M))
+    assert table == names
+    literals = set()
+    for path in (REPO / "src").rglob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        literals.update(
+            node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and re.fullmatch(r"REPRO_[A-Z0-9_]+", node.value)
+        )
+    assert "REPRO_TELEMETRY" in literals  # the scan finds knobs at all
+    assert literals <= names

@@ -4,8 +4,8 @@ Covers the golden differential (every registered scheme, byte-identical
 to the pre-refactor monolithic builders over the 30-matrix mini-corpus),
 incremental rescheduling (random in-place edits → byte-identical output
 with strictly fewer tile-passes executed), the per-pass artifact cache
-(a MigratePass-only config change reuses cached BuildGridPass
-artifacts), registry pass-list validation, the ``schedule.pass.*``
+behind reschedule (a MigratePass-only config change reuses cached
+BuildGridPass artifacts), registry pass-list validation, the ``schedule.pass.*``
 telemetry spans, and the CLI surfaces.
 """
 
@@ -20,7 +20,7 @@ from repro.formats.coo import COOMatrix
 from repro.matrices.collection import corpus_specs
 from repro.pipeline import PipelineRunner
 from repro.pipeline.stages import ScheduleStage
-from repro.pipeline.store import PASS_CACHE_SIZE, ArtifactStore, budget_from_env
+from repro.pipeline.store import ArtifactStore
 from repro.scheduling.base import TiledSchedule
 from repro.scheduling.crhcs import schedule_crhcs, schedule_crhcs_tile
 from repro.scheduling.greedy import schedule_greedy_tile
@@ -184,24 +184,21 @@ def test_reschedule_rejects_non_pass_schemes():
 def test_migrate_only_config_change_reuses_build_artifacts():
     """Regression: a MigratePass-only parameter change must reuse every
     cached BuildGridPass artifact instead of rebuilding from scratch."""
-    store = ArtifactStore(schedule_capacity=16, pass_capacity=128)
-    runner = PipelineRunner(store)
+    runner = PipelineRunner()
     matrix = _multi_tile_matrix(7)
-    first = runner.schedule(
+    first = runner.reschedule(
         matrix, "crhcs", max_rows_per_pass=150, steal_tries=8
     )
     n_tiles = len(first.schedule.tiles)
-    assert store.stage_hits("pass") == 0
+    assert runner.last_reschedule_stats.skipped_total == 0
 
-    second = runner.schedule(
+    second = runner.reschedule(
         matrix, "crhcs", max_rows_per_pass=150, steal_tries=4
     )
-    # Different steal_tries → different whole-schedule key (no stale
-    # hit), but the build prefix of the pass chain is unchanged and
-    # every tile resumes from its cached build artifact.
-    assert store.stage_misses("schedule") == 2
-    assert store.stage_hits("pass") >= n_tiles
-    stats = store.last_pass_stats
+    # Different steal_tries → different migrate digests, but the build
+    # prefix of the pass chain is unchanged and every tile resumes from
+    # its cached build artifact.
+    stats = runner.last_reschedule_stats
     assert "build:pe_aware" not in stats.executed
     assert stats.skipped["build:pe_aware"] == n_tiles
     assert stats.executed["migrate:crhcs"] == n_tiles
@@ -230,32 +227,30 @@ def test_schedule_fingerprint_folds_pass_signature_and_skips_private():
     assert private == base
 
 
-def test_pass_cache_lru_and_capacity_knob(monkeypatch):
-    empty = ArtifactStore(pass_capacity=0)
+def test_pass_cache_lru():
+    empty = ArtifactStore(capacity=0)
     empty.put("pass", "anything", object())
     assert empty.get("pass", "anything") is None
-    store = ArtifactStore(pass_capacity=2)
+    store = ArtifactStore(capacity=2)
     for digest in ("a", "b", "c"):
         store.put("pass", digest, digest)
     assert store.get("pass", "a") is None
     assert store.get("pass", "c") == "c"
     assert store.evictions == {"pass": 1}
-    monkeypatch.setenv("REPRO_PASS_CACHE_SIZE", "7")
-    assert budget_from_env(PASS_CACHE_SIZE) == 7
-    monkeypatch.setenv("REPRO_PASS_CACHE_SIZE", "not-a-number")
-    telemetry.reset_warnings()
-    assert budget_from_env(PASS_CACHE_SIZE) == 128
 
 
-def test_schedule_cache_clear_clears_pass_tier():
-    store = ArtifactStore(schedule_capacity=16, pass_capacity=128)
-    PipelineRunner(store).schedule(
-        _multi_tile_matrix(3), "crhcs", max_rows_per_pass=150
-    )
+def test_reschedule_store_clear_clears_pass_tier():
+    runner = PipelineRunner()
+    matrix = _multi_tile_matrix(3)
+    runner.reschedule(matrix, "crhcs", max_rows_per_pass=150)
+    store = runner._reschedule_store
     assert store.stage_misses("pass") > 0 and store.last_pass_stats
     store.clear()
     assert len(store) == 0
     assert store.misses == {} and store.last_pass_stats is None
+    # Cleared means cold: the next call resumes nothing.
+    runner.reschedule(matrix, "crhcs", max_rows_per_pass=150)
+    assert runner.last_reschedule_stats.skipped_total == 0
 
 
 # ---------------------------------------------------------------------------

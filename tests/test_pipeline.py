@@ -95,11 +95,9 @@ def legacy_report(schedule, cycles, config, name, power_watts):
 
 
 def fresh_runner() -> PipelineRunner:
-    """A runner with a private device-shaped store (schedules and pass
-    snapshots on their own budgets; no cross-test pollution)."""
-    return PipelineRunner(
-        ArtifactStore(schedule_capacity=16, pass_capacity=128)
-    )
+    """A runner with a private device-shaped store (schedules on their
+    own budget; no cross-test pollution)."""
+    return PipelineRunner(ArtifactStore(schedule_capacity=16))
 
 
 class TestGoldenDifferential:
@@ -359,8 +357,7 @@ class TestArtifactStore:
     def test_concurrent_lookups_keep_the_counters_exact(self):
         """More threads than cores on one small store: every lookup is
         counted exactly once and no LRU outgrows its budget."""
-        store = ArtifactStore(capacity=4, schedule_capacity=3,
-                              pass_capacity=2)
+        store = ArtifactStore(capacity=4, schedule_capacity=3)
         kinds = ("load", "schedule", "pass", "simulate")
         workers, rounds = 8, 300
 
@@ -381,7 +378,7 @@ class TestArtifactStore:
         for kind in kinds:
             lookups = store.stage_hits(kind) + store.stage_misses(kind)
             assert lookups == workers * rounds // len(kinds), kind
-        assert len(store) <= 4 + 3 + 2
+        assert len(store) <= 4 + 3
         assert sum(store.evictions.values()) + len(store) <= sum(
             store.misses.values()
         )

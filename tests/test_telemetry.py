@@ -20,7 +20,7 @@ from repro.matrices.named import generate_named
 from repro.pipeline import ArtifactStore, PipelineRunner
 from repro.scheduling.crhcs import MigrationReport, schedule_crhcs
 from repro.scheduling.pe_aware import schedule_pe_aware
-from repro.sim.trace import TRACE_MAX_ENV, ScheduleTrace
+from repro.sim.trace import ScheduleTrace
 from repro.telemetry.schema import (
     validate_file,
     validate_record,
@@ -305,11 +305,11 @@ class TestCacheCounters:
     @pytest.mark.parametrize(
         "budgets",
         [
-            # device-shaped: a small shared LRU, schedules and pass
-            # snapshots on their own budgets, plus the disk tier
-            {"capacity": 3, "schedule_capacity": 2, "pass_capacity": 4},
+            # device-shaped: a small shared LRU, schedules on their own
+            # budget, plus the disk tier
+            {"capacity": 3, "schedule_capacity": 2},
             # every budget 0: nothing is kept, every lookup misses
-            {"capacity": 0, "schedule_capacity": 0, "pass_capacity": 0},
+            {"capacity": 0, "schedule_capacity": 0},
         ],
         ids=["device", "budget0"],
     )
@@ -321,25 +321,31 @@ class TestCacheCounters:
             for _ in range(2):
                 for spec in specs:
                     runner.analyze(spec, "crhcs")
-                    # resumes from the build pass snapshot
-                    runner.analyze(spec, "crhcs", steal_tries=4)
+                    # the only pass snapshots: reschedule's own store
+                    runner.reschedule(spec, "crhcs", steal_tries=4)
                     runner.analyze(spec, "pe_aware")
                     runner.analyze(spec, "pe_aware")
                 runner.estimate(specs[1], "pe_aware")
         totals = _cache_totals(cap.records)
         kinds = set(store.hits) | set(store.misses) | set(store.evictions)
-        assert {"load", "schedule", "simulate", "metrics",
-                "estimate"} <= kinds
+        assert kinds == {"load", "schedule", "simulate", "metrics",
+                         "estimate"}
         if budgets["capacity"]:
-            for kind in ("load", "schedule", "pass", "simulate"):
+            for kind in ("load", "schedule", "simulate"):
                 assert store.hits[kind] and store.evictions[kind], kind
         else:
             assert not store.hits and not store.evictions
-        assert {stage for _name, stage in totals} == kinds
-        for kind in kinds:
-            for name, table in (("hits", store.hits),
-                                ("misses", store.misses),
-                                ("evictions", store.evictions)):
+        # The reschedule store's fixed budget outlasts this workload, so
+        # ``pass`` shows hits and misses but no evictions here (the
+        # eviction path is the shared LRU's, exercised above).
+        passes = runner._reschedule_store
+        assert passes.hits["pass"] and passes.misses["pass"]
+        assert not passes.evictions
+        assert {stage for _name, stage in totals} == kinds | {"pass"}
+        for kind, owner in [(k, store) for k in kinds] + [("pass", passes)]:
+            for name, table in (("hits", owner.hits),
+                                ("misses", owner.misses),
+                                ("evictions", owner.evictions)):
                 assert totals.get((f"pipeline.cache.{name}", kind), 0) == (
                     table.get(kind, 0)
                 ), (name, kind)
@@ -435,32 +441,17 @@ class TestWarnOnce:
 
 
 class TestTraceRenderLimit:
-    def test_default_limit_names_the_override(self, monkeypatch):
-        monkeypatch.delenv(TRACE_MAX_ENV, raising=False)
+    def test_default_limit_names_the_override(self):
         trace = ScheduleTrace(timelines={}, cycles=600)
         with pytest.raises(SimulationError) as excinfo:
             trace.render()
         message = str(excinfo.value)
         assert "512" in message
-        assert TRACE_MAX_ENV in message
         assert "max_cycles" in message
 
     def test_parameter_override(self):
         trace = ScheduleTrace(timelines={}, cycles=600)
         assert trace.render(max_cycles=1000) == ""
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(TRACE_MAX_ENV, "1000")
-        trace = ScheduleTrace(timelines={}, cycles=600)
-        assert trace.render() == ""
-
-    def test_invalid_env_warns_and_keeps_default(self, monkeypatch, caplog):
-        monkeypatch.setenv(TRACE_MAX_ENV, "lots")
-        trace = ScheduleTrace(timelines={}, cycles=600)
-        with caplog.at_level(logging.WARNING, logger="repro.telemetry"):
-            with pytest.raises(SimulationError):
-                trace.render()
-        assert any(TRACE_MAX_ENV in r.message for r in caplog.records)
 
 
 class TestSummarize:
