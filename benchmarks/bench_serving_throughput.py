@@ -17,7 +17,9 @@ wall-clock ratio isolates what the serving layer buys.  The gate (CI)
 requires the engine to reach ``--gate`` × the serial throughput
 (default 2.0), byte-identical reports, and a third **overload** phase —
 a burst into a deliberately tiny queue — to shed with structured
-``rejected``/``expired`` responses and zero unhandled exceptions.
+``rejected``/``expired`` responses and zero unhandled exceptions, with
+the engine's per-tenant outcome counts summing to the burst and matching
+the received responses status by status.
 
 Usage::
 
@@ -40,7 +42,7 @@ from repro.matrices.generators import uniform_random
 from repro.pipeline.runner import PipelineRunner
 from repro.scheduling.registry import get_scheme
 from repro.serving import ServingEngine, SpMVRequest
-from repro.serving.slo import latency_percentiles
+from repro.serving.slo import OUTCOMES, latency_percentiles
 from repro.telemetry import write_manifest
 
 DEFAULT_GATE = 2.0
@@ -162,12 +164,43 @@ def run_overload(quick: bool):
         except Exception:
             unhandled += 1
     engine.shutdown(drain=True)
+    tenants = engine.tenant_summary()
     return {
         "burst": burst,
         "statuses": statuses,
         "unhandled_exceptions": unhandled,
         "stats": dict(engine.stats),
+        # What the engine counted per outcome, summed over tenants.
+        "books": {
+            outcome: sum(row[outcome] for row in tenants.values())
+            for outcome in OUTCOMES.values()
+        },
     }
+
+
+def books_failures(overload) -> list:
+    """Why the engine's outcome counts disagree with the burst, if they do.
+
+    Every submit must be counted exactly once, and per outcome the
+    counts must equal the responses the bench actually received.
+    """
+    books = overload["books"]
+    received = {
+        outcome: overload["statuses"].get(status, 0)
+        for status, outcome in OUTCOMES.items()
+    }
+    failures = []
+    if sum(books.values()) != overload["burst"]:
+        failures.append(
+            f"engine counted {sum(books.values())} outcomes for a "
+            f"{overload['burst']}-request burst"
+        )
+    if books != received:
+        failures.append(
+            f"engine outcome counts {books} differ from the received "
+            f"responses {received}"
+        )
+    return failures
 
 
 def run(quick: bool, gate: float, workers: int, output: Path) -> int:
@@ -212,7 +245,8 @@ def run(quick: bool, gate: float, workers: int, output: Path) -> int:
         f"overload: {overload['burst']} burst → "
         f"{overload['statuses'].get('ok', 0)} ok, {shed} rejected, "
         f"{expired} expired, "
-        f"{overload['unhandled_exceptions']} unhandled exceptions"
+        f"{overload['unhandled_exceptions']} unhandled exceptions; "
+        f"engine books {overload['books']}"
     )
 
     payload = {
@@ -259,6 +293,7 @@ def run(quick: bool, gate: float, workers: int, output: Path) -> int:
         )
     if not shed:
         failures.append("overload burst shed nothing (queue too large?)")
+    failures += books_failures(overload)
     for failure in failures:
         print(f"FAIL: {failure}")
     return 1 if failures else 0

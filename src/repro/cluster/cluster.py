@@ -45,11 +45,12 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from .. import telemetry
 from ..errors import ReproError, ServingError
 from ..serving.engine import Ticket
-from ..serving.slo import BurnRateMonitor
+from ..serving.slo import OutcomeLedger
 from ..telemetry import tracing
 from ..telemetry.tracing import TraceContext
 from ..serving.request import (
     STATUS_ERROR,
+    STATUS_OK,
     STATUS_REJECTED,
     SpMVRequest,
     SpMVResponse,
@@ -260,13 +261,14 @@ class Cluster:
         self._popularity: Dict[str, int] = {}
         #: fingerprint → last device that served it (affinity accounting).
         self._last_device: Dict[str, str] = {}
-        self.stats: Dict[str, int] = {
-            "routed": 0, "completed": 0, "retries": 0, "hedges": 0,
-            "failovers": 0, "affinity_hits": 0, "removed_devices": 0,
-            "added_devices": 0, "errors": 0,
+        #: Router counters; request outcomes live in :attr:`ledger`.
+        self._routing: Dict[str, int] = {
+            "routed": 0, "retries": 0, "hedges": 0, "affinity_hits": 0,
+            "removed_devices": 0, "added_devices": 0,
         }
-        #: End-to-end (route + retries + hedges + service) SLO burn.
-        self.slo = BurnRateMonitor()
+        #: One row per executed request, timed end to end (route +
+        #: retries + hedges + service).
+        self.ledger = OutcomeLedger()
 
     # -- lifecycle -------------------------------------------------------
 
@@ -429,7 +431,7 @@ class Cluster:
             device_id = f"dev{self._device_seq}"
             self._device_seq += 1
             device = self._make_device(device_id)
-            self.stats["added_devices"] += 1
+            self._routing["added_devices"] += 1
             running = self._state == "running"
         if running:
             device.start()
@@ -462,7 +464,7 @@ class Cluster:
                 return
             device.health.mark_dead()
             self.ring.remove(device_id)
-            self.stats["removed_devices"] += 1
+            self._routing["removed_devices"] += 1
         t = telemetry.get()
         with t.span("cluster.failover", device=device_id, reason=reason):
             if t.enabled:
@@ -521,7 +523,11 @@ class Cluster:
             result = self._route_and_execute(request, timeout, t)
         slo_class = request.effective_slo_class()
         elapsed = max(time.monotonic() - started, 0.0)
-        self.slo.record(slo_class, elapsed * 1e3, result.ok)
+        # A request no device answered is an error, not a failover.
+        self.ledger.record(
+            request.tenant, slo_class, result.response.status,
+            elapsed * 1e3, failover=result.failover and bool(result.device),
+        )
         if t.enabled:
             t.histogram("cluster.latency_ms", elapsed * 1e3,
                         slo_class=slo_class)
@@ -555,7 +561,6 @@ class Cluster:
         try:
             fingerprint = request.work_fingerprint()
         except ReproError as error:
-            self._bump("errors")
             return ClusterResult(
                 response=SpMVResponse(
                     request_id=request.request_id,
@@ -614,7 +619,6 @@ class Cluster:
                 request, last_response, last_device, attempts,
                 hedged, first_device,
             )
-        self._bump("errors")
         return ClusterResult(
             response=SpMVResponse(
                 request_id=request.request_id,
@@ -656,14 +660,14 @@ class Cluster:
     def _note_routing(self, fingerprint: str, device_id: str,
                       t: Any) -> None:
         with self._lock:
-            self.stats["routed"] += 1
+            self._routing["routed"] += 1
             seen = self._popularity.get(fingerprint, 0)
             self._popularity[fingerprint] = seen + 1
             previous = self._last_device.get(fingerprint)
             self._last_device[fingerprint] = device_id
             affinity_hit = previous == device_id
             if affinity_hit:
-                self.stats["affinity_hits"] += 1
+                self._routing["affinity_hits"] += 1
             if len(self._popularity) > 65536:
                 # Bound the tracking maps; affinity placement itself is
                 # stateless (the ring), only the accounting resets.
@@ -767,12 +771,6 @@ class Cluster:
         first_device: Optional[str],
     ) -> ClusterResult:
         failover = bool(device_id) and device_id != first_device
-        if failover:
-            self._bump("failovers")
-        if response.ok:
-            self._bump("completed")
-        elif response.status == STATUS_ERROR:
-            self._bump("errors")
         t = telemetry.get()
         if t.enabled and response.ok:
             t.counter("cluster.completed", 1, device=device_id)
@@ -786,9 +784,23 @@ class Cluster:
 
     def _bump(self, key: str) -> None:
         with self._lock:
-            self.stats[key] += 1
+            self._routing[key] += 1
 
     # -- introspection ---------------------------------------------------
+
+    @property
+    def stats(self) -> Dict[str, int]:
+        """Router counters plus the ledger's ``completed``, ``errors``
+        and ``failovers``."""
+        with self._lock:
+            stats = dict(self._routing)
+        totals = self.ledger.status_totals()
+        stats["completed"] = totals.get(STATUS_OK, 0)
+        stats["errors"] = totals.get(STATUS_ERROR, 0)
+        stats["failovers"] = sum(
+            self.ledger.status_totals(failover=True).values()
+        )
+        return stats
 
     def status(self) -> Dict[str, Any]:
         """Cluster-wide status: router stats plus one row per device."""
@@ -802,7 +814,7 @@ class Cluster:
                 device.snapshot()
                 for _id, device in sorted(self.devices.items())
             ],
-            "stats": dict(self.stats),
+            "stats": self.stats,
             "audit": self.audit_summary(),
             "slo": self.slo_summary(),
             "tenants": self.tenant_summary(),
@@ -829,23 +841,26 @@ class Cluster:
 
     def slo_summary(self) -> Dict[str, Dict[str, float]]:
         """End-to-end error-budget burn per SLO class (cluster view)."""
-        return self.slo.burn_rates()
+        return self.ledger.burn_rates()
 
     def audit_summary(self) -> Dict[str, Any]:
         """Fleet-wide estimator-audit rollup across device engines."""
         sampled = 0
         violations = 0
+        errors = 0
         max_rel_error = 0.0
         demoted: set = set()
         for device in self.devices.values():
             summary = device.engine.audit_summary()
             sampled += summary["sampled"]
             violations += summary["violations"]
+            errors += summary["errors"]
             max_rel_error = max(max_rel_error, summary["max_rel_error"])
             demoted.update(summary["demoted"])
         return {
             "sampled": sampled,
             "violations": violations,
+            "errors": errors,
             "max_rel_error": max_rel_error,
             "demoted": sorted(demoted),
         }

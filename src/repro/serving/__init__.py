@@ -38,12 +38,11 @@ from .request import (
     SpMVResponse,
     request_from_json,
 )
-from .slo import LatencyRecorder, latency_percentiles, percentile
+from .slo import latency_percentiles
 
 __all__ = [
     "AdmissionQueue",
     "BATCH_ENV",
-    "LatencyRecorder",
     "QUEUE_ENV",
     "STATUS_ERROR",
     "STATUS_EXPIRED",
@@ -59,7 +58,6 @@ __all__ = [
     "WORKERS_ENV",
     "latency_percentiles",
     "load_request_file",
-    "percentile",
     "request_from_json",
     "serve_max_batch",
     "serve_queue_capacity",

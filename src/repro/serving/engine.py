@@ -28,10 +28,15 @@ Three mechanisms turn N concurrent callers into less than N executions:
   no longer in flight still skips recomputation stage by stage.
 
 Overload degrades, it never raises: the bounded queue sheds (policy in
-:mod:`repro.serving.queue`) with structured ``rejected`` responses, and
-requests dequeued past their deadline answer ``expired``.  Shutdown is
-graceful by default — ``shutdown()`` drains queued work while new
-submissions are shed with ``engine is draining``.
+:class:`repro.tenancy.fair_queue.FairAdmissionQueue`) with structured
+``rejected`` responses, and requests dequeued past their deadline answer
+``expired``.  Shutdown is graceful by default — ``shutdown()`` drains
+queued work while new submissions are shed with ``engine is draining``.
+
+Each outcome is counted once, in the engine's
+:class:`~repro.serving.slo.OutcomeLedger`, by ``_resolve`` or by one of
+the two answers given at the door (malformed request, draining engine);
+``stats`` and every summary read the ledger.
 """
 
 from __future__ import annotations
@@ -61,7 +66,7 @@ from ..scheduling.registry import get_scheme
 from ..tenancy import TenantPolicy, policy_from_env
 from ..tenancy.fair_queue import FairAdmissionQueue
 from ..tenancy.tenant import normalize_tenant
-from .queue import DEFAULT_CAPACITY, AdmissionQueue  # noqa: F401 (re-export)
+from .queue import DEFAULT_CAPACITY
 from .resident import ResidentStateStore
 from .request import (
     STATUS_ERROR,
@@ -71,7 +76,7 @@ from .request import (
     SpMVRequest,
     SpMVResponse,
 )
-from .slo import BurnRateMonitor, LatencyRecorder, latency_percentiles
+from .slo import BURN_WINDOWS_S, OUTCOMES, OutcomeLedger
 
 WORKERS_ENV = "REPRO_SERVE_WORKERS"
 QUEUE_ENV = "REPRO_SERVE_QUEUE"
@@ -82,14 +87,6 @@ DEFAULT_BATCH = 8
 
 #: Worker poll interval while idle (also the drain-detection latency).
 _POLL_S = 0.05
-
-#: Response status → the per-tenant outcome counter it bumps.
-_TENANT_OUTCOME = {
-    STATUS_OK: "completed",
-    STATUS_REJECTED: "shed",
-    STATUS_EXPIRED: "expired",
-    STATUS_ERROR: "errors",
-}
 
 
 class _SessionSpec:
@@ -248,8 +245,8 @@ class ServingEngine:
         #: Schemes demoted to the exact tier by the audit gate.
         self._demoted: set = set()
         self.audit_stats: Dict[str, Any] = {
-            "sampled": 0, "violations": 0, "max_rel_error": 0.0,
-            "mean_rel_error": 0.0, "_error_sum": 0.0,
+            "sampled": 0, "violations": 0, "errors": 0,
+            "max_rel_error": 0.0, "mean_rel_error": 0.0, "_error_sum": 0.0,
         }
         capacity = (
             queue_capacity if queue_capacity is not None
@@ -270,35 +267,24 @@ class ServingEngine:
         self.runner = PipelineRunner(self.store)
         #: Device-resident session state (schedules + iterate vectors).
         self.resident = ResidentStateStore()
-        self.latencies = LatencyRecorder()
-        self.slo = BurnRateMonitor()
+        #: Every request outcome, counted once (see the module docstring).
+        self.ledger = OutcomeLedger()
         self._seq = itertools.count()
-        self._lock = threading.RLock()  # submit bumps stats while held
+        self._lock = threading.RLock()
         #: work fingerprint → leader entry (queued or executing).
         self._inflight: Dict[str, _Entry] = {}
         self._threads: List[threading.Thread] = []
         self._state = "new"  # new → running → draining/stopping → stopped
-        self.stats: Dict[str, int] = {
-            "accepted": 0, "coalesced": 0, "shed": 0,
-            "expired": 0, "completed": 0, "errors": 0,
-        }
-        #: tenant → the same counter shape as :attr:`stats`.
-        self.tenant_stats: Dict[str, Dict[str, int]] = {}
-        #: tenant → latency recorder over its served requests.
-        self.tenant_latencies: Dict[str, LatencyRecorder] = {}
 
     def _interactive_hot(self) -> bool:
         """Whether the interactive SLO class is burning its budget hot.
 
         The fair queue's shed-policy hook: while hot, batch-class
-        entries become preferred shed victims.  Checked only on
-        overload pushes, so the burn-rate scan stays off the fast path.
+        entries become preferred shed victims.  Called under the queue's
+        lock on overload pushes; one O(buckets) ledger read.
         """
-        rates = self.slo.burn_rates().get("interactive")
-        if not rates:
-            return False
-        fast = f"burn_{self.slo.windows_s[0]:g}s"
-        return rates.get(fast, 0.0) > self.tenancy.burn_shed_threshold
+        return (self.ledger.burn("interactive", BURN_WINDOWS_S[0])
+                > self.tenancy.burn_shed_threshold)
 
     # -- lifecycle -------------------------------------------------------
 
@@ -394,9 +380,8 @@ class ServingEngine:
             except ReproError as error:
                 # Malformed work (unknown scheme/matrix, bad override)
                 # answers immediately — a structured error, not a crash.
-                self._bump("errors")
-                self._bump_tenant(normalize_tenant(request.tenant),
-                                  "errors")
+                self.ledger.record(normalize_tenant(request.tenant), None,
+                                   STATUS_ERROR, 0.0)
                 if t.enabled:
                     t.counter("serving.errors", 1, phase="admission")
                 if owns_root and trace is not None:
@@ -422,8 +407,7 @@ class ServingEngine:
                 leader = self._inflight.get(work_fp)
                 if leader is not None and not leader.done:
                     leader.followers.append(entry)
-                    self._bump("coalesced")
-                    self._bump_tenant(entry.tenant, "coalesced")
+                    self.ledger.admit(entry.tenant, coalesced=True)
                     if t.enabled:
                         t.counter("serving.coalesced", 1, scheme=spec.name)
                         # The causal edge between the follower's tree and
@@ -460,8 +444,7 @@ class ServingEngine:
                 reason, reason_key = self._overload_reason(entry.tenant)
                 self._finish_shed(entry, reason, reason_key=reason_key)
                 return Ticket(entry=entry)
-            self._bump("accepted")
-            self._bump_tenant(entry.tenant, "accepted")
+            self.ledger.admit(entry.tenant)
             if t.enabled:
                 t.counter("serving.accepted", 1, scheme=spec.name)
                 t.counter("serving.tenant.accepted", 1,
@@ -501,8 +484,7 @@ class ServingEngine:
             reason, reason_key = self._overload_reason(entry.tenant)
             self._finish_shed(entry, reason, reason_key=reason_key)
             return Ticket(entry=entry)
-        self._bump("accepted")
-        self._bump_tenant(entry.tenant, "accepted")
+        self.ledger.admit(entry.tenant)
         if t.enabled:
             t.counter("serving.accepted", 1, scheme="session")
             t.counter("serving.tenant.accepted", 1, tenant=entry.tenant)
@@ -598,7 +580,6 @@ class ServingEngine:
         if entry.request.work is not None:
             self._execute_session(entry)
             return
-        t = telemetry.get()
         started = time.monotonic()
         queue_s = max(started - entry.submitted_at, 0.0)
         result = None
@@ -618,9 +599,6 @@ class ServingEngine:
                 service_s=service_s,
                 fidelity=result.fidelity,
             )
-            self._bump("completed")
-            if t.enabled:
-                t.counter("serving.completed", 1, scheme=entry.spec.name)
         except ReproError as error:
             service_s = max(time.monotonic() - started, 0.0)
             response = SpMVResponse(
@@ -630,9 +608,6 @@ class ServingEngine:
                 queue_s=queue_s,
                 service_s=service_s,
             )
-            self._bump("errors")
-            if t.enabled:
-                t.counter("serving.errors", 1, phase="execute")
         self._fulfill(entry, response, exec_started=started)
         # The audit runs *after* fulfilment so the sampled exact re-run
         # never delays the response the caller is waiting on.
@@ -642,7 +617,6 @@ class ServingEngine:
 
     def _execute_session(self, entry: _Entry) -> None:
         """Run one session work item against the resident-state store."""
-        t = telemetry.get()
         started = time.monotonic()
         queue_s = max(started - entry.submitted_at, 0.0)
         work = entry.request.work
@@ -656,9 +630,6 @@ class ServingEngine:
                 service_s=max(time.monotonic() - started, 0.0),
                 payload=payload,
             )
-            self._bump("completed")
-            if t.enabled:
-                t.counter("serving.completed", 1, scheme="session")
         except ReproError as error:
             response = SpMVResponse(
                 request_id=entry.request.request_id,
@@ -667,9 +638,6 @@ class ServingEngine:
                 queue_s=queue_s,
                 service_s=max(time.monotonic() - started, 0.0),
             )
-            self._bump("errors")
-            if t.enabled:
-                t.counter("serving.errors", 1, phase="session")
         self._fulfill(entry, response, exec_started=started)
 
     def _audit(self, entry: _Entry, estimate) -> None:
@@ -685,8 +653,11 @@ class ServingEngine:
                     entry.request.source, entry.spec, entry.config,
                     fidelity="exact",
                 )
-            except ReproError as error:
-                self._bump("errors")
+            except ReproError:
+                # The request was already answered ok: a failed re-run
+                # is an audit error, not a second outcome.
+                with self._lock:
+                    self.audit_stats["errors"] += 1
                 if t.enabled:
                     t.counter("serving.errors", 1, phase="audit")
                 return
@@ -731,29 +702,46 @@ class ServingEngine:
             return followers
 
     def _resolve(self, entry: _Entry, response: SpMVResponse,
-                 record_latency: bool = False) -> SpMVResponse:
+                 shed_reason: str = "") -> SpMVResponse:
+        """Answer one admitted entry — the only place its outcome is
+        counted and its outcome telemetry emitted.
+
+        ``shed_reason`` labels a shed leader's ``serving.shed`` counter.
+        """
         if entry.trace is not None and not response.trace_id:
             response = dataclasses.replace(
                 response, trace_id=entry.trace.trace_id
             )
         entry.response = response
-        if record_latency and response.ok:
-            self.latencies.record(response.total_s)
-            self._tenant_latency(entry.tenant).record(response.total_s)
-        slo_class = entry.request.effective_slo_class()
-        self.slo.record(slo_class, response.total_s * 1e3, response.ok)
-        self._bump_tenant(entry.tenant, _TENANT_OUTCOME[response.status])
+        status = response.status
+        latency_ms = response.total_s * 1e3
+        self.ledger.record(entry.tenant, entry.slo_class, status,
+                           latency_ms, coalesced=response.coalesced)
         t = telemetry.get()
         if t.enabled:
-            t.histogram("serving.latency_ms", response.total_s * 1e3,
-                        slo_class=slo_class)
-            t.counter(
-                f"serving.tenant.{_TENANT_OUTCOME[response.status]}",
-                1, tenant=entry.tenant,
-            )
+            scheme = entry.spec.name
+            # Leader counters count executions, sheds and expiries once;
+            # a coalesced follower only counts as served.
+            if response.coalesced:
+                if response.ok:
+                    t.counter("serving.coalesced_served", 1, scheme=scheme)
+            elif status == STATUS_OK:
+                t.counter("serving.completed", 1, scheme=scheme)
+            elif status == STATUS_EXPIRED:
+                t.counter("serving.expired", 1, scheme=scheme)
+            elif status == STATUS_ERROR:
+                t.counter("serving.errors", 1, phase=(
+                    "execute" if entry.request.work is None else "session"
+                ))
+            else:
+                t.counter("serving.shed", 1, reason=shed_reason)
+            t.histogram("serving.latency_ms", latency_ms,
+                        slo_class=entry.slo_class)
+            t.counter(f"serving.tenant.{OUTCOMES[status]}", 1,
+                      tenant=entry.tenant)
             if response.ok:
-                t.histogram("serving.tenant.latency_ms",
-                            response.total_s * 1e3, tenant=entry.tenant)
+                t.histogram("serving.tenant.latency_ms", latency_ms,
+                            tenant=entry.tenant)
             if response.queue_s:
                 t.histogram("serving.queue_ms", response.queue_s * 1e3)
             # The root of the request's causal tree: emitted exactly once
@@ -763,10 +751,10 @@ class ServingEngine:
                     "serving.request",
                     entry.trace,
                     max(time.monotonic() - entry.submitted_at, 0.0),
-                    status=response.status,
+                    status=status,
                     scheme=entry.request.scheme,
                     request_id=entry.request.request_id,
-                    slo_class=slo_class,
+                    slo_class=entry.slo_class,
                     coalesced=response.coalesced,
                 )
         entry.event.set()
@@ -775,12 +763,8 @@ class ServingEngine:
     def _fulfill(self, entry: _Entry, response: SpMVResponse,
                  exec_started: Optional[float] = None) -> None:
         followers = self._claim(entry)
-        self._resolve(entry, response, record_latency=True)
-        t = telemetry.get()
+        self._resolve(entry, response)
         for follower in followers:
-            if t.enabled and response.ok:
-                t.counter("serving.coalesced_served", 1,
-                          scheme=entry.spec.name)
             share_point = (
                 exec_started if exec_started is not None
                 else follower.submitted_at
@@ -797,13 +781,9 @@ class ServingEngine:
                 queue_s=max(share_point - follower.submitted_at, 0.0),
                 service_s=response.service_s,
                 fidelity=response.fidelity,
-            ), record_latency=True)
+            ))
 
     def _finish_expired(self, entry: _Entry) -> None:
-        self._bump("expired")
-        t = telemetry.get()
-        if t.enabled:
-            t.counter("serving.expired", 1, scheme=entry.spec.name)
         followers = self._claim(entry)
         waited = max(time.monotonic() - entry.submitted_at, 0.0)
         for item in [entry] + followers:
@@ -820,10 +800,6 @@ class ServingEngine:
 
     def _finish_shed(self, entry: _Entry, reason: str,
                      reason_key: str = "shutdown") -> None:
-        self._bump("shed")
-        t = telemetry.get()
-        if t.enabled:
-            t.counter("serving.shed", 1, reason=reason_key)
         followers = self._claim(entry)
         for item in [entry] + followers:
             self._resolve(item, SpMVResponse(
@@ -832,15 +808,14 @@ class ServingEngine:
                 detail=reason,
                 coalesced=item is not entry,
                 queue_s=max(time.monotonic() - item.submitted_at, 0.0),
-            ))
+            ), shed_reason=reason_key)
 
     def _reject_ticket(
         self, request: SpMVRequest, reason: str,
         trace: Optional[TraceContext] = None, owns_root: bool = False,
     ) -> Ticket:
-        self._bump("shed")
         tenant = normalize_tenant(request.tenant)
-        self._bump_tenant(tenant, "shed")
+        self.ledger.record(tenant, None, STATUS_REJECTED, 0.0)
         t = telemetry.get()
         if t.enabled:
             t.counter("serving.shed", 1, reason="draining")
@@ -858,57 +833,40 @@ class ServingEngine:
 
     # -- accounting ------------------------------------------------------
 
-    def _bump(self, key: str) -> None:
-        with self._lock:
-            self.stats[key] += 1
-
-    def _bump_tenant(self, tenant: str, key: str) -> None:
-        with self._lock:
-            stats = self.tenant_stats.get(tenant)
-            if stats is None:
-                stats = self.tenant_stats[tenant] = {
-                    "accepted": 0, "coalesced": 0, "shed": 0,
-                    "expired": 0, "completed": 0, "errors": 0,
-                }
-            stats[key] += 1
-
-    def _tenant_latency(self, tenant: str) -> LatencyRecorder:
-        with self._lock:
-            recorder = self.tenant_latencies.get(tenant)
-            if recorder is None:
-                recorder = self.tenant_latencies[tenant] = LatencyRecorder()
-            return recorder
+    @property
+    def stats(self) -> Dict[str, int]:
+        """Admissions, plus one count per execution, shed, expiry and
+        error — coalesced followers count only as ``coalesced``."""
+        tenants = self.ledger.tenant_counts().values()
+        stats = {key: sum(row[key] for row in tenants)
+                 for key in ("accepted", "coalesced")}
+        leaders = self.ledger.status_totals(coalesced=False)
+        for status, outcome in OUTCOMES.items():
+            stats[outcome] = leaders.get(status, 0)
+        return stats
 
     def tenant_summary(self) -> Dict[str, Dict[str, Any]]:
-        """Per-tenant outcome counters plus served-latency percentiles.
+        """Per-tenant outcome counts plus served-latency percentiles.
 
-        Also folds in the fair queue's dispatch/shed ledgers — the view
+        Every answer counts toward its own tenant (coalesced followers
+        included); ``dispatched`` comes from the fair queue — the view
         the bench gates and ``repro serve`` summaries read.
         """
-        with self._lock:
-            tenants = {
-                tenant: dict(stats)
-                for tenant, stats in self.tenant_stats.items()
-            }
-            recorders = dict(self.tenant_latencies)
+        tenants: Dict[str, Dict[str, Any]] = self.ledger.tenant_counts()
         dispatched = self.queue.served_counts()
         for tenant, summary in tenants.items():
             summary["dispatched"] = dispatched.get(tenant, 0)
-            recorder = recorders.get(tenant)
-            summary["latency"] = (
-                recorder.summary() if recorder is not None
-                else latency_percentiles([])
-            )
+            summary["latency"] = self.ledger.latency_summary(tenant)
         return tenants
 
     def latency_summary(self) -> Dict[str, float]:
         """p50/p95/p99/mean/max of served request latency (ms)."""
-        return self.latencies.summary()
+        return self.ledger.latency_summary()
 
     def slo_summary(self) -> Dict[str, Dict[str, float]]:
         """Per-class error-budget burn (see
-        :meth:`repro.serving.slo.BurnRateMonitor.burn_rates`)."""
-        return self.slo.burn_rates()
+        :meth:`repro.serving.slo.OutcomeLedger.burn_rates`)."""
+        return self.ledger.burn_rates()
 
     def demoted_schemes(self) -> Tuple[str, ...]:
         """Schemes the audit gate has demoted to the exact tier."""
@@ -923,6 +881,7 @@ class ServingEngine:
                 "audit_rate": self.audit_rate,
                 "sampled": self.audit_stats["sampled"],
                 "violations": self.audit_stats["violations"],
+                "errors": self.audit_stats["errors"],
                 "max_rel_error": self.audit_stats["max_rel_error"],
                 "mean_rel_error": self.audit_stats["mean_rel_error"],
                 "demoted": sorted(self._demoted),
@@ -949,15 +908,14 @@ class ServingEngine:
         for key, value in self.stats.items():
             if value:
                 t.counter(f"serving.final.{key}", value)
-        for tenant, stats in sorted(self.tenant_stats.items()):
-            for key, value in stats.items():
+        for tenant, counts in sorted(self.ledger.tenant_counts().items()):
+            for key, value in counts.items():
                 if value:
                     t.counter(f"serving.tenant.final.{key}", value,
                               tenant=tenant)
-        for tenant, recorder in sorted(self.tenant_latencies.items()):
-            summary = recorder.summary()
-            if summary["count"]:
-                t.gauge("serving.tenant.p99_ms", summary["p99_ms"],
+            latency = self.ledger.latency_summary(tenant)
+            if latency["count"]:
+                t.gauge("serving.tenant.p99_ms", latency["p99_ms"],
                         tenant=tenant)
         resident = self.resident.snapshot()
         if resident["hits"] or resident["misses"]:

@@ -1,40 +1,39 @@
-"""Latency SLO accounting: percentiles, SLO classes, and burn rates.
+"""Latency SLOs and the outcome ledger: each request outcome counted once.
 
 The serving layer's service-level objectives are expressed three ways:
 
-* **percentiles** — p50/p95/p99 of request total latency.  The
-  percentile definition is
-  :func:`repro.telemetry.summarize.percentile` (linear interpolation,
-  numpy's default method), shared with the trace summariser so an
-  engine's ``latency_summary()`` and a trace's "latency percentiles"
-  section can never disagree on the math.
 * **SLO classes** — named policies (:data:`DEFAULT_SLOS`): an
   *interactive* request promises a tight latency threshold with a small
   error budget; a *batch* request promises a loose one with a larger
   budget.  A request picks its class explicitly
   (``SpMVRequest.slo_class``) or defaults by priority.
+* **percentiles** — p50/p95/p99 of served latency, read from a
+  log-bucketed :class:`~repro.telemetry.hist.Histogram`: within one
+  bucket (~19 %) of the exact percentile a trace reports.
 * **burn rates** — per class, the fraction of requests violating the
-  promise in a rolling window, divided by the error budget
-  (:class:`BurnRateMonitor`).  Burn 1.0 means the budget is being spent
-  exactly as fast as it accrues; the standard multi-window alerting
-  reading is "page when both the fast and slow windows burn hot".
+  promise in a rolling window, divided by the error budget.  Burn 1.0
+  means the budget is being spent exactly as fast as it accrues; the
+  standard multi-window alerting reading is "page when both the fast
+  and slow windows burn hot".
 
-The recorder keeps both the exact sample list (the audit-grade view)
-and a log-bucketed :class:`~repro.telemetry.hist.Histogram` (the
-mergeable, bounded-memory view) — the tests pin that the two agree to
-within one bucket width.
+:class:`OutcomeLedger` is where a serving engine or a cluster counts what
+happened to each request: admissions per tenant, one count per terminal
+response keyed by tenant, SLO class, status and route, a latency
+histogram of ``ok`` responses per tenant, and good/bad counts per class.
+Each burn window is a ring of :data:`WINDOW_BUCKETS` fixed time buckets
+(1 s wide for the 60 s window, 60 s for the 3600 s one): the window's
+old edge is quantised to one bucket, the count inside it is exact at
+any request rate, and memory and every read stay O(buckets).
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..telemetry.hist import Histogram
-from ..telemetry.summarize import percentile
+from ..telemetry.hist import Histogram, merge_all, quantile
 
 #: The percentiles every SLO summary reports.
 SLO_PERCENTILES = (50.0, 95.0, 99.0)
@@ -42,6 +41,19 @@ SLO_PERCENTILES = (50.0, 95.0, 99.0)
 #: Rolling burn-rate windows (seconds): a fast window that reacts to
 #: incidents and a slow window that tracks sustained budget spend.
 BURN_WINDOWS_S: Tuple[float, ...] = (60.0, 3600.0)
+
+#: Time buckets per burn window (bucket width = window / buckets).
+WINDOW_BUCKETS = 60
+
+#: Response status → the outcome every summary counts it under.  Keyed
+#: by the status strings of :mod:`repro.serving.request` (which imports
+#: this module), in the order the summaries list them.
+OUTCOMES: Dict[str, str] = {
+    "rejected": "shed",
+    "expired": "expired",
+    "ok": "completed",
+    "error": "errors",
+}
 
 
 @dataclass(frozen=True)
@@ -77,167 +89,179 @@ def classify_request(priority: int, deadline_ms: Optional[float]) -> str:
     return "batch"
 
 
-class BurnRateMonitor:
-    """Rolling multi-window error-budget burn per SLO class.
-
-    Each resolution is recorded as good or bad against its class's
-    policy: a request is *bad* when it failed (shed/expired/error) or
-    exceeded the promised latency.  :meth:`burn_rates` reports, per
-    class and window, ``bad_fraction / error_budget`` over the events
-    inside the window — the standard burn-rate reading where 1.0 means
-    spending the budget exactly as fast as it accrues.
-
-    Events are kept in bounded per-class deques and pruned lazily; the
-    monitor is thread-safe (resolutions arrive from worker threads).
-    """
-
-    def __init__(
-        self,
-        policies: Optional[Dict[str, SLOPolicy]] = None,
-        windows_s: Sequence[float] = BURN_WINDOWS_S,
-        max_events: int = 100_000,
-        clock: Any = time.monotonic,
-    ) -> None:
-        self.policies = dict(policies or DEFAULT_SLOS)
-        self.windows_s = tuple(windows_s)
-        self._clock = clock
-        self._lock = threading.Lock()
-        # per class: deque of (timestamp, is_bad)
-        self._events: Dict[str, Deque[Tuple[float, bool]]] = {
-            name: deque(maxlen=max_events) for name in self.policies
-        }
-        self._good: Dict[str, int] = {name: 0 for name in self.policies}
-        self._bad: Dict[str, int] = {name: 0 for name in self.policies}
-
-    def policy_for(self, slo_class: str) -> SLOPolicy:
-        return self.policies.get(slo_class) or self.policies["batch"]
-
-    def record(self, slo_class: str, latency_ms: float, ok: bool) -> bool:
-        """Record one resolution; returns whether it was *good*."""
-        policy = self.policy_for(slo_class)
-        good = ok and latency_ms <= policy.latency_ms
-        now = self._clock()
-        with self._lock:
-            events = self._events.setdefault(
-                policy.name, deque(maxlen=100_000)
-            )
-            events.append((now, not good))
-            if good:
-                self._good[policy.name] = self._good.get(policy.name, 0) + 1
-            else:
-                self._bad[policy.name] = self._bad.get(policy.name, 0) + 1
-        return good
-
-    def burn_rates(self) -> Dict[str, Dict[str, float]]:
-        """Per-class burn per window plus lifetime good/bad totals.
-
-        Shape: ``{class: {"good": n, "bad": n, "error_budget": b,
-        "burn_<window>s": rate, ...}}``.  A window with no events burns
-        0.0 (no traffic spends no budget).
-        """
-        now = self._clock()
-        with self._lock:
-            snapshot = {
-                name: list(events) for name, events in self._events.items()
-            }
-            good = dict(self._good)
-            bad = dict(self._bad)
-        out: Dict[str, Dict[str, float]] = {}
-        for name, events in snapshot.items():
-            policy = self.policy_for(name)
-            entry: Dict[str, float] = {
-                "good": float(good.get(name, 0)),
-                "bad": float(bad.get(name, 0)),
-                "error_budget": policy.error_budget,
-            }
-            for window in self.windows_s:
-                cutoff = now - window
-                total = bad_count = 0
-                for ts, is_bad in reversed(events):
-                    if ts < cutoff:
-                        break
-                    total += 1
-                    bad_count += is_bad
-                fraction = (bad_count / total) if total else 0.0
-                entry[f"burn_{window:g}s"] = round(
-                    fraction / policy.error_budget, 6
-                ) if policy.error_budget else 0.0
-            out[name] = entry
-        return out
-
-
-def latency_percentiles(values_ms: Sequence[float]) -> Dict[str, float]:
-    """The standard SLO summary over a set of latency samples (ms).
-
-    Always well-formed: with no samples every key is still present
-    (zeroed), so consumers can read ``summary["p99_ms"]`` without
-    guarding — an idle engine has a summary, not a shape change.
-    """
-    if not values_ms:
-        empty: Dict[str, float] = {
-            "count": 0, "mean_ms": 0.0, "max_ms": 0.0,
-        }
-        for q in SLO_PERCENTILES:
-            empty[f"p{q:g}_ms"] = 0.0
-        return empty
+def _histogram_summary(snapshot: Dict[str, Any]) -> Dict[str, float]:
+    """count/mean/max plus :data:`SLO_PERCENTILES` (ms) of a histogram
+    snapshot — zeroed, not missing, when it is empty."""
+    count = snapshot["count"]
     summary: Dict[str, float] = {
-        "count": len(values_ms),
-        "mean_ms": round(sum(values_ms) / len(values_ms), 6),
-        "max_ms": round(max(values_ms), 6),
+        "count": count,
+        "mean_ms": round(snapshot["sum"] / count, 6) if count else 0.0,
+        "max_ms": round(snapshot["max"], 6),
     }
     for q in SLO_PERCENTILES:
-        summary[f"p{q:g}_ms"] = round(percentile(values_ms, q), 6)
+        summary[f"p{q:g}_ms"] = round(quantile(snapshot, q), 6)
     return summary
 
 
-class LatencyRecorder:
-    """Thread-safe accumulator of per-request latencies (milliseconds).
+def latency_percentiles(values_ms: Sequence[float]) -> Dict[str, float]:
+    """The standard SLO summary over latency samples (ms), read through a
+    histogram exactly as every ledger summary is."""
+    hist = Histogram()
+    for value in values_ms:
+        hist.record(value)
+    return _histogram_summary(hist.snapshot())
 
-    Keeps the exact sample list (audit-grade percentiles via
-    :meth:`summary`) alongside a log-bucketed histogram
-    (:meth:`histogram_summary`, :meth:`histogram_snapshot`) — the
-    bounded, mergeable form the telemetry and burn-rate layers consume.
+
+class _Window:
+    """One class's good/bad counts over one burn window, in a ring of
+    :data:`WINDOW_BUCKETS` fixed time buckets."""
+
+    __slots__ = ("width", "buckets")
+
+    def __init__(self, window_s: float) -> None:
+        self.width = window_s / WINDOW_BUCKETS
+        #: slot → ``[absolute bucket index (now // width), good, bad]``.
+        self.buckets = [[-1, 0, 0] for _ in range(WINDOW_BUCKETS)]
+
+    def add(self, now: float, bad: bool) -> None:
+        index = int(now // self.width)
+        bucket = self.buckets[index % WINDOW_BUCKETS]
+        if bucket[0] != index:
+            bucket[:] = (index, 0, 0)
+        bucket[1 + bad] += 1
+
+    def totals(self, now: float) -> Tuple[int, int]:
+        """``(good, bad)`` in the current bucket and the ones before it."""
+        oldest = int(now // self.width) - WINDOW_BUCKETS
+        live = [bucket for bucket in self.buckets if bucket[0] > oldest]
+        return sum(b[1] for b in live), sum(b[2] for b in live)
+
+
+class OutcomeLedger:
+    """Every request outcome of one engine or one cluster, counted once.
+
+    Writers call :meth:`admit` per admission and :meth:`record` per
+    terminal response; ``stats``, the per-tenant counts, the latency
+    percentiles and the burn rates are all reads of the same counts, so
+    the books balance by construction.  One lock guards every count.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, clock: Callable[[], float] = time.monotonic) -> None:
+        self._clock = clock
         self._lock = threading.Lock()
-        self._samples_ms: List[float] = []
-        self._hist = Histogram()
-
-    def record(self, latency_s: float) -> None:
-        latency_ms = latency_s * 1e3
-        with self._lock:
-            self._samples_ms.append(latency_ms)
-        self._hist.record(latency_ms)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._samples_ms)
-
-    def summary(self) -> Dict[str, float]:
-        """p50/p95/p99/mean/max over every recorded sample (exact)."""
-        with self._lock:
-            samples = list(self._samples_ms)
-        return latency_percentiles(samples)
-
-    def histogram_summary(self) -> Dict[str, float]:
-        """The same shape as :meth:`summary`, from the histogram.
-
-        Within one bucket width (~19 %) of the exact percentiles by
-        construction — pinned by the tests.
-        """
-        hist = self._hist.summary()
-        out = {
-            "count": hist["count"],
-            "mean_ms": round(hist["mean"], 6),
-            "max_ms": round(hist["max"], 6),
+        #: tenant → ``[accepted, coalesced]``, tenants in first-seen order.
+        self._admitted: Dict[str, List[int]] = {}
+        #: ``(tenant, slo_class, status, coalesced, failover)`` → count.
+        self._outcomes: Dict[Tuple[str, Optional[str], str, bool, bool],
+                             int] = {}
+        #: tenant → latency (ms) of its ``ok`` responses.
+        self._latency: Dict[str, Histogram] = {}
+        #: SLO class → lifetime ``[good, bad]``.
+        self._slo = {name: [0, 0] for name in DEFAULT_SLOS}
+        #: SLO class → one :class:`_Window` per :data:`BURN_WINDOWS_S`.
+        self._windows = {
+            name: [_Window(window_s) for window_s in BURN_WINDOWS_S]
+            for name in DEFAULT_SLOS
         }
-        for q in SLO_PERCENTILES:
-            out[f"p{q:g}_ms"] = round(
-                self._hist.quantile(q) if hist["count"] else 0.0, 6
-            )
-        return out
 
-    def histogram_snapshot(self) -> Dict[str, Any]:
-        """The mergeable snapshot of the latency distribution."""
-        return self._hist.snapshot()
+    @staticmethod
+    def policy_for(slo_class: str) -> SLOPolicy:
+        """The class's policy; unknown classes are held to ``batch``."""
+        return DEFAULT_SLOS.get(slo_class) or DEFAULT_SLOS["batch"]
+
+    def admit(self, tenant: str, coalesced: bool = False) -> None:
+        """Count one admission: queued, or coalesced onto a leader."""
+        with self._lock:
+            self._admitted.setdefault(tenant, [0, 0])[coalesced] += 1
+
+    def record(self, tenant: str, slo_class: Optional[str], status: str,
+               latency_ms: float, coalesced: bool = False,
+               failover: bool = False) -> bool:
+        """Count one terminal response; returns whether it was *good*
+        (``ok`` within its class's latency promise).
+
+        ``coalesced`` marks a follower answered by another request's
+        execution; ``failover`` a cluster answer from another device
+        than the first one routed to.  ``slo_class=None`` marks an
+        answer given at the door (malformed request, draining engine):
+        an outcome, but no SLO's — those promise latency for admitted
+        work.
+        """
+        ok = status == "ok"
+        policy = self.policy_for(slo_class) if slo_class else None
+        good = policy is not None and ok and latency_ms <= policy.latency_ms
+        now = self._clock()
+        key = (tenant, slo_class, status, coalesced, failover)
+        with self._lock:
+            self._admitted.setdefault(tenant, [0, 0])
+            self._outcomes[key] = self._outcomes.get(key, 0) + 1
+            if ok:
+                latency = self._latency.get(tenant)
+                if latency is None:
+                    latency = self._latency[tenant] = Histogram()
+                latency.record(latency_ms)
+            if policy is not None:
+                self._slo[policy.name][not good] += 1
+                for window in self._windows[policy.name]:
+                    window.add(now, not good)
+        return good
+
+    def status_totals(self, coalesced: Optional[bool] = None,
+                      failover: Optional[bool] = None) -> Dict[str, int]:
+        """Terminal responses per status seen; a flag given as
+        ``True``/``False`` keeps only the rows that match it."""
+        totals: Dict[str, int] = {}
+        with self._lock:
+            for (_, _, status, row_coalesced, row_failover), count \
+                    in self._outcomes.items():
+                if coalesced in (None, row_coalesced) \
+                        and failover in (None, row_failover):
+                    totals[status] = totals.get(status, 0) + count
+        return totals
+
+    def tenant_counts(self) -> Dict[str, Dict[str, int]]:
+        """tenant → ``accepted``, ``coalesced`` and one count per
+        :data:`OUTCOMES` entry (coalesced followers included)."""
+        with self._lock:
+            tenants = {
+                tenant: {"accepted": accepted, "coalesced": coalesced,
+                         **dict.fromkeys(OUTCOMES.values(), 0)}
+                for tenant, (accepted, coalesced) in self._admitted.items()
+            }
+            for (tenant, _, status, _, _), count in self._outcomes.items():
+                tenants[tenant][OUTCOMES[status]] += count
+        return tenants
+
+    def latency_summary(self, tenant: Optional[str] = None
+                        ) -> Dict[str, float]:
+        """Served latency (ms) of one tenant, or of all when ``None``."""
+        with self._lock:
+            hists = [hist for owner, hist in self._latency.items()
+                     if tenant in (None, owner)]
+        return _histogram_summary(merge_all(h.snapshot() for h in hists))
+
+    def burn(self, slo_class: str, window_s: float) -> float:
+        """One class's burn rate over one of :data:`BURN_WINDOWS_S`; a
+        window without responses burns 0.0."""
+        policy = self.policy_for(slo_class)
+        window = self._windows[policy.name][BURN_WINDOWS_S.index(window_s)]
+        now = self._clock()
+        with self._lock:
+            good, bad = window.totals(now)
+        if not (good + bad) or not policy.error_budget:
+            return 0.0
+        return round(bad / (good + bad) / policy.error_budget, 6)
+
+    def burn_rates(self) -> Dict[str, Dict[str, float]]:
+        """``{class: {"good": n, "bad": n, "error_budget": b,
+        "burn_<window>s": rate, ...}}`` — lifetime totals plus the burn
+        over every window."""
+        out: Dict[str, Dict[str, float]] = {}
+        for name, policy in DEFAULT_SLOS.items():
+            with self._lock:
+                good, bad = self._slo[name]
+            out[name] = {"good": float(good), "bad": float(bad),
+                         "error_budget": policy.error_budget}
+            for window_s in BURN_WINDOWS_S:
+                out[name][f"burn_{window_s:g}s"] = self.burn(name, window_s)
+        return out

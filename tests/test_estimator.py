@@ -15,7 +15,8 @@ import time
 import pytest
 
 from repro import telemetry
-from repro.errors import ConfigError, EstimationError
+from repro.cluster import Cluster
+from repro.errors import ConfigError, EstimationError, ReproError
 from repro.estimator import (
     DEFAULT_CALIBRATION,
     PREDICTABLE_SCHEMES,
@@ -226,6 +227,18 @@ class TestAnalyzeDispatch:
                            fidelity="estimate", calibration=empty)
 
 
+class _ExactFails:
+    """A runner whose exact-tier runs fail (the audit re-run path)."""
+
+    def __init__(self, runner):
+        self._runner = runner
+
+    def analyze(self, source, spec, config, **kwargs):
+        if kwargs.get("fidelity") == "exact":
+            raise ReproError("exact re-run failed")
+        return self._runner.analyze(source, spec, config, **kwargs)
+
+
 class TestAuditGate:
     def _await_demotion(self, engine, scheme, timeout=30.0):
         deadline = time.monotonic() + timeout
@@ -288,6 +301,37 @@ class TestAuditGate:
         assert summary["sampled"] == 6
         assert summary["violations"] == 0
         assert summary["demoted"] == []
+
+    def test_failed_audit_rerun_is_an_audit_error(self):
+        """A request answered ok stays completed when its exact re-run
+        fails: the failure is counted once, as an audit error."""
+        engine = ServingEngine(workers=1, fidelity="estimate",
+                               audit_rate=1.0)
+        engine.runner = _ExactFails(engine.runner)
+        engine.start()
+        try:
+            response = engine.submit(SpMVRequest(
+                uniform_random(96, 96, 900, seed=61)
+            )).result(timeout=30.0)
+        finally:
+            engine.shutdown(drain=True)
+        assert response.ok and response.fidelity == "estimate"
+        assert engine.stats["completed"] == 1
+        assert engine.stats["errors"] == 0
+        assert engine.audit_summary()["errors"] == 1
+
+    def test_cluster_sums_device_audit_errors(self):
+        cluster = Cluster(devices=2, fidelity="estimate", audit_rate=1.0)
+        for device in cluster.devices.values():
+            device.engine.runner = _ExactFails(device.engine.runner)
+        with cluster:
+            results = cluster.run([
+                SpMVRequest(uniform_random(96, 96, 900, seed=seed))
+                for seed in (62, 63, 64)
+            ], clients=1)
+        assert all(result.ok for result in results)
+        assert cluster.audit_summary()["errors"] == 3
+        assert cluster.stats["errors"] == 0
 
     def test_exact_tier_never_audits(self):
         engine = ServingEngine(workers=1, fidelity="exact",

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import logging
+from collections import deque
 
 import pytest
 
@@ -31,9 +32,9 @@ from repro.matrices.generators import uniform_random
 from repro.serving import ServingEngine, SpMVRequest
 from repro.serving.slo import (
     BURN_WINDOWS_S,
-    BurnRateMonitor,
     DEFAULT_SLOS,
-    LatencyRecorder,
+    WINDOW_BUCKETS,
+    OutcomeLedger,
     classify_request,
 )
 from repro.telemetry import tracing
@@ -214,18 +215,6 @@ class TestHistogram:
         assert quantile(snap, 0.0) >= 5.0 * (1 - (GROWTH - 1))
         assert quantile(snap, 100.0) <= 5.0
 
-    def test_latency_recorder_hist_agrees_with_exact(self):
-        recorder = LatencyRecorder()
-        for i in range(1, 150):
-            recorder.record(0.0017 * i)  # 1.7 ms .. 253 ms
-        exact = recorder.summary()
-        approx = recorder.histogram_summary()
-        assert approx["count"] == exact["count"]
-        for key in ("p50_ms", "p95_ms", "p99_ms"):
-            index = bucket_index(exact[key])
-            width = bucket_upper(index) - bucket_lower(index)
-            assert abs(approx[key] - exact[key]) <= width + 1e-9
-
     def test_telemetry_histogram_records_flush_and_validate(self):
         with telemetry.capture() as cap:
             for value in (1.0, 2.0, 400.0):
@@ -237,13 +226,39 @@ class TestHistogram:
         validate_record(hists[0])
 
 
+def _resolve(ledger, slo_class, latency_ms, ok):
+    """One resolution as the engine records it (the default tenant)."""
+    return ledger.record("default", slo_class, "ok" if ok else "error",
+                         latency_ms)
+
+
+def _reachable_items(obj, seen):
+    """Container slots reachable from ``obj`` (the ledger's footprint)."""
+    if id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    if isinstance(obj, dict):
+        return len(obj) + sum(_reachable_items(key, seen)
+                              + _reachable_items(value, seen)
+                              for key, value in obj.items())
+    if isinstance(obj, (list, tuple, set, frozenset, deque)):
+        return len(obj) + sum(_reachable_items(item, seen) for item in obj)
+    if type(obj).__module__.startswith("repro."):
+        names = list(getattr(obj, "__dict__", {}))
+        for klass in type(obj).__mro__:
+            names += list(getattr(klass, "__slots__", ()))
+        return sum(_reachable_items(getattr(obj, name), seen)
+                   for name in names if hasattr(obj, name))
+    return 0
+
+
 class TestBurnRate:
     def test_burn_reflects_bad_fraction_over_budget(self):
         now = [1000.0]
-        monitor = BurnRateMonitor(clock=lambda: now[0])
+        monitor = OutcomeLedger(clock=lambda: now[0])
         for _ in range(9):
-            monitor.record("interactive", 1.0, ok=True)
-        monitor.record("interactive", 500.0, ok=True)  # over 50 ms: bad
+            _resolve(monitor, "interactive", 1.0, ok=True)
+        _resolve(monitor, "interactive", 500.0, ok=True)  # over 50 ms: bad
         rates = monitor.burn_rates()["interactive"]
         assert rates["good"] == 9 and rates["bad"] == 1
         budget = DEFAULT_SLOS["interactive"].error_budget
@@ -251,21 +266,50 @@ class TestBurnRate:
 
     def test_fast_window_ages_out_slow_window_remembers(self):
         now = [1000.0]
-        monitor = BurnRateMonitor(clock=lambda: now[0])
-        monitor.record("interactive", 999.0, ok=True)  # bad
+        monitor = OutcomeLedger(clock=lambda: now[0])
+        _resolve(monitor, "interactive", 999.0, ok=True)  # bad
         now[0] += 120.0  # past the 60 s window, inside 3600 s
         rates = monitor.burn_rates()["interactive"]
         assert rates["burn_60s"] == 0.0
         assert rates["burn_3600s"] > 0.0
 
     def test_failed_request_is_bad_regardless_of_latency(self):
-        monitor = BurnRateMonitor(clock=lambda: 0.0)
-        assert monitor.record("batch", 0.1, ok=False) is False
+        monitor = OutcomeLedger(clock=lambda: 0.0)
+        assert _resolve(monitor, "batch", 0.1, ok=False) is False
         assert monitor.burn_rates()["batch"]["bad"] == 1
 
     def test_unknown_class_falls_back_to_batch_policy(self):
-        monitor = BurnRateMonitor(clock=lambda: 0.0)
+        monitor = OutcomeLedger(clock=lambda: 0.0)
         assert monitor.policy_for("mystery").name == "batch"
+
+    def test_slow_window_is_exact_at_sixty_requests_per_second(self):
+        """An hour at 60 req/s whose first half was all bad burns 50x
+        over the hour — every resolution counts, not the newest 100k."""
+        now = [0.0]
+        ledger = OutcomeLedger(clock=lambda: now[0])
+        for index in range(216_000):
+            now[0] = index / 60.0
+            _resolve(ledger, "interactive", 1.0, ok=index >= 108_000)
+        rates = ledger.burn_rates()["interactive"]
+        assert rates["burn_3600s"] == 50.0
+        assert rates["burn_60s"] == 0.0
+
+    def test_memory_stays_fixed_under_sustained_traffic(self):
+        now = [0.0]
+        ledger = OutcomeLedger(clock=lambda: now[0])
+        footprints = []
+        for index in range(200_000):
+            now[0] = index / 60.0
+            slo_class = ("interactive", "batch")[index % 2]
+            _resolve(ledger, slo_class, 1.0 + index % 97, ok=index % 5 > 0)
+            if index + 1 in (100_000, 200_000):
+                footprints.append(_reachable_items(ledger, set()))
+        # Nothing grows with traffic, and nothing is kept per resolution.
+        assert footprints[0] == footprints[1] < 5_000
+        for windows in ledger._windows.values():
+            assert len(windows) == len(BURN_WINDOWS_S)
+            for window in windows:
+                assert len(window.buckets) == WINDOW_BUCKETS
 
     def test_classification_default(self):
         assert classify_request(0, None) == "batch"
