@@ -4,9 +4,14 @@
 Times PE-aware and CrHCS scheduling over a fixed seeded corpus subset —
 the inner loop of every Fig. 3/11/14 sweep — for both the vectorized
 array-backed path and the legacy slot-at-a-time reference, verifies the
-two produce byte-identical survey metrics (stall fractions, migration
-counts, stream cycle counts), and writes ``BENCH_schedulers.json`` so
-future changes have a perf trajectory to regress against.
+two produce byte-identical survey metrics (stall fractions, stream cycle
+counts, and CrHCS's per-matrix migration counts and RAW skips), and
+writes ``BENCH_schedulers.json`` so future changes have a perf
+trajectory to regress against.  Beside time it records CrHCS's work
+counts, which do not drift with host speed: ``migrated`` and
+``raw_skips`` for both paths, and the array walk's
+``scheduler.crhcs.jumped_holes`` (holes it skips in bulk because a
+full candidate scan would fail at each).
 
 Usage::
 
@@ -25,6 +30,7 @@ import sys
 import time
 from pathlib import Path
 
+from repro import telemetry
 from repro.config import DEFAULT_CHASON, DEFAULT_SERPENS
 from repro.matrices.collection import corpus_specs
 from repro.metrics import pe_underutilization_percent_batch
@@ -53,18 +59,38 @@ def _timed_pass(schedule_fn, matrices, with_report=False):
     }
     if with_report:
         metrics["migration_counts"] = []
+        metrics["raw_skips"] = []
     start = time.perf_counter()
     for matrix in matrices:
         if with_report:
             report = MigrationReport()
             schedule = schedule_fn(matrix, report=report)
             metrics["migration_counts"].append(report.migrated)
+            metrics["raw_skips"].append(report.raw_skips)
         else:
             schedule = schedule_fn(matrix)
         metrics["stall_fractions"].append(schedule.underutilization)
         metrics["stream_cycles"].append(schedule.stream_cycles)
     elapsed = time.perf_counter() - start
     return elapsed, metrics
+
+
+def _jumped_holes(schedule_fn, matrices):
+    """Holes the CrHCS walk jumps over in one untimed pass."""
+    with telemetry.capture() as cap:
+        for matrix in matrices:
+            schedule_fn(matrix)
+    return sum(
+        record["value"] for record in cap.records
+        if record["name"] == "scheduler.crhcs.jumped_holes"
+    )
+
+
+def _work(metrics):
+    return {
+        "migrated": sum(metrics["migration_counts"]),
+        "raw_skips": sum(metrics["raw_skips"]),
+    }
 
 
 def _timed_survey(schedule_fn, matrices):
@@ -128,6 +154,17 @@ def run(quick: bool, output: Path) -> int:
             f"speedup {legacy_s / fast_s:5.2f}x  "
             f"metrics {'identical' if fast_metrics == legacy_metrics else 'MISMATCH'}"
         )
+        if with_report:
+            work = _work(fast_metrics)
+            work["jumped_holes"] = _jumped_holes(fast_fn, matrices)
+            results[scheme]["work"] = work
+            results[scheme]["legacy_work"] = _work(legacy_metrics)
+            print(
+                f"{scheme:>9s}: migrated {work['migrated']}, raw skips "
+                f"{work['raw_skips']} (legacy "
+                f"{results[scheme]['legacy_work']['raw_skips']}), "
+                f"jumped holes {work['jumped_holes']}"
+            )
 
     # The acceptance workload: a Fig. 3-style stall survey over the
     # REPRO_CORPUS_COUNT=100 corpus (12 matrices in --quick mode),
@@ -180,7 +217,10 @@ def run(quick: bool, output: Path) -> int:
     print(f"wrote {manifest}")
 
     if mismatches:
-        print(f"FAIL: metric mismatch vs legacy path: {mismatches}")
+        print(
+            f"FAIL: metric or work-count mismatch vs legacy path: "
+            f"{mismatches}"
+        )
         return 1
     if quick:
         slow = [

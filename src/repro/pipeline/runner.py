@@ -153,14 +153,15 @@ class PipelineRunner:
         """
         if isinstance(source, LoadedMatrix):
             return source
-        kind, label, digest = _LOAD.describe(source)
+        described = _LOAD.describe(source)
+        kind, label, digest = described
         t = telemetry.get()
         with t.span("pipeline.load", source=label, kind=kind):
             if self.store is not None and kind == "spec":
                 return self.store.get_or_build(
-                    _LOAD.name, digest, lambda: _LOAD.run(source)
+                    _LOAD.name, digest, lambda: _LOAD.run(source, described)
                 )
-            return _LOAD.run(source)
+            return _LOAD.run(source, described)
 
     # -- stage 2: schedule -----------------------------------------------
 

@@ -79,8 +79,15 @@ class LoadStage:
             return "spec", f"corpus#{source.index}", fingerprint_source(source)
         return "memory", f"{type(source).__name__}", fingerprint_matrix(source)
 
-    def run(self, source: Any) -> LoadedMatrix:
-        kind, label, digest = self.describe(source)
+    def run(
+        self,
+        source: Any,
+        described: Optional[Tuple[str, str, str]] = None,
+    ) -> LoadedMatrix:
+        """Materialise ``source``; ``described`` is its :meth:`describe`
+        result when the caller already has it (an in-memory matrix is
+        then hashed once)."""
+        kind, label, digest = described or self.describe(source)
         if isinstance(source, str):
             matrix = generate_named(source)
         elif isinstance(source, MatrixSpec):

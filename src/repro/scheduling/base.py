@@ -220,24 +220,109 @@ class ChannelGrid:
         if length > self.length:
             self.length = length
 
-    def clone(self) -> "ChannelGrid":
-        """An independent deep copy (the pass-artifact cache snapshot).
+    @classmethod
+    def _from_planes(
+        cls,
+        channel_id: int,
+        pes: int,
+        length: int,
+        planes: Tuple[np.ndarray, ...],
+        count: int,
+        max_cycle: int,
+        max_dirty: bool = False,
+    ) -> "ChannelGrid":
+        """A grid over existing ``(value, row, col, origin_channel,
+        origin_pe)`` planes, adopted as they are (no copy)."""
+        grid = cls.__new__(cls)
+        grid.channel_id = channel_id
+        grid.pes = pes
+        grid.length = length
+        grid._capacity = planes[0].shape[0]
+        (grid._value, grid._row, grid._col, grid._origin_channel,
+         grid._origin_pe) = planes
+        grid._count = count
+        grid._max_cycle = max_cycle
+        grid._max_dirty = max_dirty
+        return grid
 
-        Copies the five backing arrays and every incremental counter, so
-        mutating either grid afterwards never aliases into the other and
-        ``trim_trailing_stalls`` stays O(1) on the copy.
+    @classmethod
+    def tile_grids(
+        cls,
+        channels: int,
+        pes: int,
+        elem_channels: np.ndarray,
+        cycles: np.ndarray,
+        pe_ids: np.ndarray,
+        rows: np.ndarray,
+        cols: np.ndarray,
+        values: np.ndarray,
+        origin_channels: np.ndarray,
+        origin_pes: np.ndarray,
+        length: Optional[int] = None,
+    ) -> List["ChannelGrid"]:
+        """All ``channels`` grids of one tile from element arrays.
+
+        Elements must be sorted by channel (any order within a channel)
+        and sit at distinct slots.  Each field takes one sentinel fill
+        and one scatter into one buffer that holds every channel's cycle
+        rows back to back; grid *c* keeps disjoint ``(capacity, pes)``
+        views of it, ``capacity`` being its last occupied cycle + 1.  The
+        grids are ordinary grids: :meth:`reserve` growth reallocates a
+        grid's own planes and :meth:`clone` copies them.  ``length`` is
+        every grid's list length; ``None`` ends each list at its last
+        non-zero.
         """
-        other = ChannelGrid(self.channel_id, self.pes, self.length)
-        other._capacity = self._capacity
-        other._value = self._value.copy()
-        other._row = self._row.copy()
-        other._col = self._col.copy()
-        other._origin_channel = self._origin_channel.copy()
-        other._origin_pe = self._origin_pe.copy()
-        other._count = self._count
-        other._max_cycle = self._max_cycle
-        other._max_dirty = self._max_dirty
-        return other
+        bounds = np.searchsorted(elem_channels, np.arange(channels + 1))
+        counts = np.diff(bounds)
+        tops = np.full(channels, -1, dtype=np.int64)
+        if cycles.size:
+            nonempty = counts > 0
+            tops[nonempty] = np.maximum.reduceat(
+                cycles, bounds[:-1][nonempty]
+            )
+        offsets = np.zeros(channels + 1, dtype=np.int64)
+        np.cumsum(tops + 1, out=offsets[1:])
+        flat = (np.repeat(offsets[:-1], counts) + cycles) * pes + pe_ids
+        planes = []
+        for field, dtype, stall in (
+            (values, np.float64, 0.0),
+            (rows, np.int64, STALL_SENTINEL),
+            (cols, np.int64, STALL_SENTINEL),
+            (origin_channels, np.int64, STALL_SENTINEL),
+            (origin_pes, np.int64, STALL_SENTINEL),
+        ):
+            plane = np.full((int(offsets[-1]), pes), stall, dtype=dtype)
+            plane.reshape(-1)[flat] = field
+            planes.append(plane)
+        grids = []
+        for c, (lo, hi, count, top) in enumerate(zip(
+            offsets[:-1].tolist(), offsets[1:].tolist(),
+            counts.tolist(), tops.tolist(),
+        )):
+            grids.append(cls._from_planes(
+                c, pes, hi - lo if length is None else length,
+                tuple(plane[lo:hi] for plane in planes), count, top,
+            ))
+        return grids
+
+    def clone(self) -> "ChannelGrid":
+        """An independent deep copy (a ``pass`` snapshot).
+
+        Copies the live rows of the five backing arrays (the first
+        ``min(length, capacity)``; no occupied slot sits past ``length``)
+        and every incremental counter, so mutating either grid afterwards
+        never aliases into the other and ``trim_trailing_stalls`` stays
+        O(1) on the copy.
+        """
+        stored = min(self.length, self._capacity)
+        return ChannelGrid._from_planes(
+            self.channel_id, self.pes, self.length,
+            tuple(plane[:stored].copy() for plane in (
+                self._value, self._row, self._col, self._origin_channel,
+                self._origin_pe,
+            )),
+            self._count, self._max_cycle, self._max_dirty,
+        )
 
     # -- single-slot API ------------------------------------------------------
 
@@ -356,59 +441,6 @@ class ChannelGrid:
             self._origin_channel[cycles, pes],
             self._origin_pe[cycles, pes],
         )
-
-    def fill_lane(
-        self,
-        pe: int,
-        cycles: np.ndarray,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        values: np.ndarray,
-    ) -> None:
-        """Bulk-place private elements of one PE lane (scheduler fast path).
-
-        The caller guarantees the target slots are empty and the cycles
-        unique — the invariant every single-PE scheduler provides.
-        """
-        if cycles.size == 0:
-            return
-        top = int(cycles.max())
-        self.reserve(top + 1)
-        self._row[cycles, pe] = rows
-        self._col[cycles, pe] = cols
-        self._value[cycles, pe] = values
-        self._origin_channel[cycles, pe] = self.channel_id
-        self._origin_pe[cycles, pe] = pe
-        self._count += int(cycles.size)
-        if top > self._max_cycle:
-            self._max_cycle = top
-        self.ensure_length(top + 1)
-
-    def fill_slots(
-        self,
-        cycles: np.ndarray,
-        pes: np.ndarray,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        values: np.ndarray,
-        origin_channels,
-        origin_pes,
-    ) -> None:
-        """Bulk-place elements at distinct empty ``(cycle, pe)`` slots."""
-        cycles = np.asarray(cycles, dtype=np.int64)
-        if cycles.size == 0:
-            return
-        top = int(cycles.max())
-        self.reserve(top + 1)
-        self._row[cycles, pes] = rows
-        self._col[cycles, pes] = cols
-        self._value[cycles, pes] = values
-        self._origin_channel[cycles, pes] = origin_channels
-        self._origin_pe[cycles, pes] = origin_pes
-        self._count += int(cycles.size)
-        if top > self._max_cycle:
-            self._max_cycle = top
-        self.ensure_length(top + 1)
 
     # -- flat-slot API (CrHCS migration) --------------------------------------
     #

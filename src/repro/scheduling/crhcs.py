@@ -108,14 +108,20 @@ def migrate_grids(
        length (one byte per flat slot ``cycle * pes + pe``) and its own
        elements in stream order (flat slots and compact row ids, as plain
        Python lists).
-    2. *Walk.*  For each (destination, donor) step, scan the destination's
-       occupancy for holes.  A donor's candidate queue is its own-element
-       list read from the end (latest first), so taking the first
-       RAW-eligible candidate in the ``steal_tries`` window pops it in
-       O(window) and leaves the skipped ones in order.  Eligibility is one
-       lookup in the hole PE's expiry list.  Occupancy is updated as
-       slots move, so a donated slot is a hole when its channel's turn as
-       destination comes (Fig. 5d).
+    2. *Walk.*  Each (destination, donor) step walks the destination's
+       slots in stream order with a running PE index, passing occupied
+       slots.  A donor's candidate queue is its own-element list read
+       from the end (latest first), so taking the first RAW-eligible
+       candidate in the ``steal_tries`` window pops it in O(window) and
+       leaves the skipped ones in order.  Eligibility is one lookup in
+       the hole PE's expiry list.  Occupancy is updated as slots move, so
+       a donated slot is a hole when its channel's turn as destination
+       comes (Fig. 5d).  Once a cycle's worth of holes in a row has
+       failed, the walk jumps to the first slot at which any window row
+       unblocks in its PE: nothing changes the window or the expiry lists
+       until a take, so every hole jumped over would fail the same scan,
+       and it is counted in ``raw_skips`` as if scanned
+       (``scheduler.crhcs.jumped_holes`` counts them).
     3. *Apply.*  When the ring finishes, every step's transfers are
        written to the grids in bulk, in step order.
 
@@ -152,9 +158,9 @@ def migrate_grids(
     queue_rows = [np.searchsorted(row_ids, rows).tolist() for _, rows in own]
     # expiry[pe][row id]: the first cycle at which the row may issue again
     # in that PE of the current destination (§3.3), kept as the flat slot
-    # id of that cycle's PE 0 plus ``base`` so a hole's flat id compares
-    # directly.  Each destination raises ``base`` past every entry its
-    # predecessors left, so those read as expired without a reset.
+    # id of that cycle's PE 0 plus ``base``.  Each destination raises
+    # ``base`` past every entry its predecessors left, so those read as
+    # expired without a reset.
     expiry = [[0] * row_ids.size for _ in range(pes)]
     reach = distance * pes
     base = 0
@@ -163,9 +169,10 @@ def migrate_grids(
     moves: List[Tuple[int, int, List[int], List[int]]] = []
     prefix_slots = 0
     walk_slots = 0
+    jumped_holes = 0
+    end = longest * pes
     for c in range(channels):
         occ = occupancy[c]
-        find_hole = occ.find
         fresh = True
         for step in range(1, migration_span + 1):
             donor_id = (c + step) % channels
@@ -181,16 +188,32 @@ def migrate_grids(
             # filled before its first RAW skip, counted only while nothing
             # has migrated into this destination yet.
             prefix = -1
-            hole = find_hole(0)
-            while hole >= 0 and slots:
-                pe = hole % pes
-                now = base + hole
+            # Holes that failed in a row since the last take.
+            failed = 0
+            # The walk: ``hole`` is the flat slot, ``pe`` its PE and
+            # ``now`` its cycle's expiry key (``base`` + the flat id of
+            # the cycle's PE 0); a row may issue where its expiry <= now.
+            hole = -1
+            pe = pes - 1
+            now = base - pes
+            while True:
+                hole += 1
+                pe += 1
+                if pe == pes:
+                    if hole == end:
+                        break
+                    pe = 0
+                    now += pes
+                if occ[hole]:
+                    continue
                 pe_expiry = expiry[pe]
-                j = len(rows) - 1
-                if pe_expiry[rows[j]] > now:
+                if pe_expiry[rows[-1]] <= now:
+                    pe_expiry[rows.pop()] = now + reach
+                    slot = slots.pop()
+                else:
                     if prefix < 0:
                         prefix = len(taken)
-                    front = j
+                    front = len(rows) - 1
                     stop = front - steal_tries
                     if stop < -1:
                         stop = -1
@@ -200,16 +223,45 @@ def migrate_grids(
                     else:
                         j = stop
                     raw_skips += front - j
-                    if j == stop:
-                        hole = find_hole(0, hole + 1)
+                    if j != stop:
+                        pe_expiry[rows.pop(j)] = now + reach
+                        slot = slots.pop(j)
+                    else:
+                        failed += 1
+                        if failed < pes:
+                            continue
+                        # A cycle's worth of holes failed against the same
+                        # window.  Until a take changes it, a hole in PE p
+                        # fails before the first cycle at which a window
+                        # row's expiry in p has passed, so every hole
+                        # before the earliest such slot over all PEs
+                        # fails the same full scan: jump there.
+                        failed = 0
+                        window = rows[stop + 1:]
+                        target = min(
+                            min(map(expiry[p].__getitem__, window)) + p
+                            for p in range(pes)
+                        ) - base
+                        if target > hole + 1:
+                            if target > end:
+                                target = end
+                            skipped = (
+                                target - hole - 1
+                                - occ.count(1, hole + 1, target)
+                            )
+                            jumped_holes += skipped
+                            raw_skips += skipped * (front - stop)
+                            hole = target - 1
+                            pe = hole % pes
+                            now = base + hole - pe
                         continue
-                pe_expiry[rows.pop(j)] = now - pe + reach
-                slot = slots.pop(j)
+                failed = 0
                 donor_occ[slot] = 0
                 occ[hole] = 1
                 taken.append(slot)
                 filled.append(hole)
-                hole = find_hole(0, hole + 1)
+                if not slots:
+                    break
 
             migrated_here = len(taken)
             if migrated_here:
@@ -236,6 +288,7 @@ def migrate_grids(
     if t.enabled:
         t.counter("scheduler.crhcs.prefix_slots", prefix_slots)
         t.counter("scheduler.crhcs.walk_slots", walk_slots)
+        t.counter("scheduler.crhcs.jumped_holes", jumped_holes)
 
     for grid in grids:
         grid.trim_trailing_stalls()

@@ -162,7 +162,9 @@ def pe_aware_grids(tile: Tile, config: AcceleratorConfig) -> List[ChannelGrid]:
     puts elements in (global PE, row, column) order, segmented reductions
     compute each round-robin window's rotation count and base cycle, and
     every element's slot follows from ``base + rotation × distance +
-    lane`` — no per-element (or per-lane) Python loop.
+    lane`` — no per-element (or per-lane) Python loop.  The channel
+    grids are then written with one scatter per field into one buffer
+    (:meth:`ChannelGrid.tile_grids`).
     """
     channels_n = config.sparse_channels
     ppc = config.pes_per_channel
@@ -170,12 +172,9 @@ def pe_aware_grids(tile: Tile, config: AcceleratorConfig) -> List[ChannelGrid]:
     distance = config.accumulator_latency
     if distance < 1:
         raise SchedulingError("dependency distance must be >= 1")
-    grids = [
-        ChannelGrid(channel_id=c, pes=ppc) for c in range(channels_n)
-    ]
     nnz = tile.nnz
     if nnz == 0:
-        return grids
+        return [ChannelGrid(channel_id=c, pes=ppc) for c in range(channels_n)]
 
     rows = np.asarray(tile.rows, dtype=np.int64)
     cols = np.asarray(tile.cols, dtype=np.int64)
@@ -231,28 +230,14 @@ def pe_aware_grids(tile: Tile, config: AcceleratorConfig) -> List[ChannelGrid]:
     elem_cycle = np.repeat(row_base, row_lens) + distance * rotation_index
     elem_pe = elem_gpe % ppc
     elem_channel = elem_gpe // ppc
-    elem_col = cols[order]
-    elem_value = values[order]
 
-    # Elements arrive channel-sorted (gpe-major), so each channel is one
-    # contiguous slice — one bulk fill per grid.
-    bounds = np.searchsorted(elem_channel, np.arange(channels_n + 1))
-    for channel_id, grid in enumerate(grids):
-        start, end = int(bounds[channel_id]), int(bounds[channel_id + 1])
-        if start < end:
-            grid.fill_slots(
-                elem_cycle[start:end],
-                elem_pe[start:end],
-                elem_row[start:end],
-                elem_col[start:end],
-                elem_value[start:end],
-                channel_id,
-                elem_pe[start:end],
-            )
-        # A data list ends at its last non-zero; the trailing rotation
-        # stalls of the final window carry no information.
-        grid.trim_trailing_stalls()
-    return grids
+    # Elements arrive channel-sorted (gpe-major), so the whole tile fills
+    # one buffer.  A data list ends at its last non-zero; the trailing
+    # rotation stalls of the final window carry no information.
+    return ChannelGrid.tile_grids(
+        channels_n, ppc, elem_channel, elem_cycle, elem_pe, elem_row,
+        cols[order], values[order], elem_channel, elem_pe,
+    )
 
 
 def _pe_aware_builder(tile, config, options, report):

@@ -217,48 +217,41 @@ def deserialize_schedule(
             raise FormatError("truncated schedule image: missing words")
         words = np.frombuffer(
             data, dtype="<u8", count=word_count, offset=offset
-        ).reshape(channels, length, pes)
+        )
         offset = end
 
-        grids = []
-        migrated = 0
-        for channel_id in range(channels):
-            grid = ChannelGrid(channel_id=channel_id, pes=pes)
-            grid.ensure_length(length)
-            image = words[channel_id]
-            flat = np.flatnonzero(image.ravel() != _STALL_WORD)
-            if flat.size:
-                cycles = (flat // pes).astype(np.int64)
-                pe_ids = (flat % pes).astype(np.int64)
-                slot_words = image.ravel()[flat]
-                values = (
-                    (slot_words >> np.uint64(_VALUE_SHIFT))
-                    .astype(np.uint32)
-                    .view(np.float32)
-                    .astype(np.float64)
-                )
-                rows = (
-                    (slot_words >> np.uint64(_ROW_SHIFT))
-                    & np.uint64(_ROW_MAX)
-                ).astype(np.int64)
-                pvt = (
-                    (slot_words >> np.uint64(_PVT_SHIFT)) & np.uint64(1)
-                ).astype(bool)
-                pe_src = (
-                    (slot_words >> np.uint64(_PE_SRC_SHIFT))
-                    & np.uint64(_PE_SRC_MAX)
-                ).astype(np.int64)
-                cols = (slot_words & np.uint64(_COL_MAX)).astype(np.int64)
-                origin_channels = np.where(
-                    pvt, channel_id, (channel_id + 1) % channels
-                )
-                origin_pes = np.where(pvt, pe_ids, pe_src)
-                migrated += int((~pvt).sum())
-                grid.fill_slots(
-                    cycles, pe_ids, rows, cols, values,
-                    origin_channels, origin_pes,
-                )
-            grids.append(grid)
+        # Every channel image of the tile decodes at once; the flat word
+        # index is ``(channel * length + cycle) * pes + pe``, so the
+        # elements come out channel-sorted.
+        flat = np.flatnonzero(words != _STALL_WORD)
+        slot_words = words[flat]
+        channel_ids, slot = np.divmod(flat, length * pes)
+        cycles, pe_ids = np.divmod(slot, pes)
+        values = (
+            (slot_words >> np.uint64(_VALUE_SHIFT))
+            .astype(np.uint32)
+            .view(np.float32)
+            .astype(np.float64)
+        )
+        rows = (
+            (slot_words >> np.uint64(_ROW_SHIFT)) & np.uint64(_ROW_MAX)
+        ).astype(np.int64)
+        pvt = (
+            (slot_words >> np.uint64(_PVT_SHIFT)) & np.uint64(1)
+        ).astype(bool)
+        pe_src = (
+            (slot_words >> np.uint64(_PE_SRC_SHIFT)) & np.uint64(_PE_SRC_MAX)
+        ).astype(np.int64)
+        cols = (slot_words & np.uint64(_COL_MAX)).astype(np.int64)
+        origin_channels = np.where(
+            pvt, channel_ids, (channel_ids + 1) % channels
+        )
+        origin_pes = np.where(pvt, pe_ids, pe_src)
+        migrated = int((~pvt).sum())
+        grids = ChannelGrid.tile_grids(
+            channels, pes, channel_ids, cycles, pe_ids, rows, cols, values,
+            origin_channels, origin_pes, length=length,
+        )
         tiles.append(
             Schedule(
                 config=config,

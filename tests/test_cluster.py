@@ -326,6 +326,55 @@ class TestDeviceBudget:
         assert store.evictions["schedule"]  # the budget was under load
 
 
+class TestMatrixHashes:
+    """How many times one exact-tier request hashes its in-memory matrix,
+    fresh or a cache hit: once to load it, plus once per layer above the
+    runner that keys on its work fingerprint (engine admission, cluster
+    routing)."""
+
+    @pytest.fixture
+    def hashes(self, monkeypatch):
+        from repro.pipeline import stages
+
+        calls = []
+        real = stages.fingerprint_matrix
+
+        def counting(matrix):
+            calls.append(matrix)
+            return real(matrix)
+
+        monkeypatch.setattr(stages, "fingerprint_matrix", counting)
+        return calls
+
+    def test_serial_analyze_hashes_once(self, hashes):
+        from repro.pipeline.store import ArtifactStore
+
+        runner = PipelineRunner(ArtifactStore(capacity=8))
+        for _ in range(2):
+            hashes.clear()
+            runner.analyze(MATRICES[0], "crhcs")
+            assert len(hashes) == 1
+        assert runner.store.hits["schedule"]  # the second run was a hit
+
+    def test_engine_request_hashes_twice(self, hashes):
+        from repro.serving import ServingEngine
+
+        with ServingEngine(workers=1, fidelity="exact") as engine:
+            for _ in range(2):
+                hashes.clear()
+                assert engine.submit(SpMVRequest(MATRICES[0])).result(30).ok
+                assert len(hashes) == 2
+
+    def test_cluster_request_hashes_three_times(self, hashes):
+        # Hedging off: a hedged duplicate would hash on a second device.
+        with Cluster(devices=3, fidelity="exact", hedge_ms=60_000,
+                     fault_plan=FaultPlan()) as cluster:
+            for _ in range(2):
+                hashes.clear()
+                assert cluster.execute(SpMVRequest(MATRICES[0])).ok
+                assert len(hashes) == 3
+
+
 class TestFailover:
     def test_crash_mid_run_fails_over_byte_identically(self):
         """ISSUE property: device loss mid-run answers every request,

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import telemetry
 from repro.config import DEFAULT_CHASON, DEFAULT_SERPENS, ChasonConfig
 from repro.formats.coo import COOMatrix
 from repro.matrices.collection import corpus_specs
@@ -135,6 +136,89 @@ def test_migrate_grids_matches_legacy_walk(case):
             (g.length, dict(g.occupied.items())) for g in slow_grids
         ]
         _assert_reports_identical(fast_report, slow_report)
+
+
+def _migrate_against_legacy(config, matrix, span, steal_tries):
+    """Run both walks on every tile; return the holes the walk jumped."""
+    jumped = 0
+    for tile in tile_matrix(matrix, config):
+        fast_grids = pe_aware_grids(tile, config)
+        slow_grids = [grid.clone() for grid in fast_grids]
+        fast_report = MigrationReport()
+        slow_report = MigrationReport()
+        with telemetry.capture() as cap:
+            migrate_grids(
+                fast_grids, config, span,
+                steal_tries=steal_tries, report=fast_report,
+            )
+        jumped += sum(
+            r["value"] for r in cap.records
+            if r["name"] == "scheduler.crhcs.jumped_holes"
+        )
+        legacy_migrate_grids(
+            slow_grids, config, span,
+            steal_tries=steal_tries, report=slow_report,
+        )
+        assert [(g.length, dict(g.occupied.items())) for g in fast_grids] == [
+            (g.length, dict(g.occupied.items())) for g in slow_grids
+        ]
+        _assert_reports_identical(fast_report, slow_report)
+    return jumped
+
+
+def _one_row_matrix(n_rows, row, length, extra=()):
+    """One long row (columns 0..length-1) plus ``extra`` (row, col) cells."""
+    cells = [(row, col) for col in range(length)] + list(extra)
+    rows, cols = zip(*sorted(cells))
+    return COOMatrix(
+        (n_rows, length), np.array(rows), np.array(cols),
+        np.linspace(0.5, 1.5, len(cells)).astype(np.float32),
+    )
+
+
+def test_jump_in_an_empty_destination_matches_legacy():
+    """Channel 0 owns no row; its donor's whole list is one long row, so
+    after a cycle of takes every PE waits out the RAW distance and the
+    walk jumps whole cycles."""
+    config = ChasonConfig(
+        sparse_channels=2, pes_per_channel=4, scug_size=4,
+        accumulator_latency=6,
+    )
+    matrix = _one_row_matrix(8, row=4, length=40)
+    assert _migrate_against_legacy(config, matrix, 1, 8) > 0
+
+
+def test_jump_in_a_nonempty_destination_with_span_2_matches_legacy():
+    """Channel 0 keeps its own row interleaved with the holes it fills
+    from the long row next door, so its jumps count around occupied
+    slots; at span 2, channel 1's second step (from two channels away)
+    jumps after its first step has filled slots."""
+    config = ChasonConfig(
+        sparse_channels=3, pes_per_channel=2, scug_size=2,
+        accumulator_latency=3,
+    )
+    own = [(0, col) for col in range(0, 30, 2)]
+    matrix = _one_row_matrix(6, row=2, length=30, extra=own + [
+        (4, col) for col in range(30)
+    ])
+    grids = pe_aware_grids(tile_matrix(matrix, config)[0], config)
+    assert grids[0].element_count == len(own)
+    assert _migrate_against_legacy(config, matrix, 2, 8) > 0
+
+
+def test_steal_tries_beyond_the_donor_queue_matches_legacy():
+    """A window wider than the donor's whole queue: every failed hole
+    skips the queue length, not ``steal_tries``."""
+    config = ChasonConfig(
+        sparse_channels=2, pes_per_channel=2, scug_size=2,
+        accumulator_latency=5,
+    )
+    matrix = _one_row_matrix(4, row=2, length=6)
+    report = MigrationReport()
+    grids = pe_aware_grids(tile_matrix(matrix, config)[0], config)
+    migrate_grids(grids, config, 1, steal_tries=50, report=report)
+    assert 0 < report.raw_skips
+    assert _migrate_against_legacy(config, matrix, 1, 50) > 0
 
 
 @pytest.mark.parametrize("seed", range(6))

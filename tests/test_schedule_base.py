@@ -3,12 +3,16 @@
 import pytest
 
 from repro.errors import RawHazardError, SchedulingError
+from repro.matrices.generators import uniform_random
 from repro.scheduling.base import (
     ChannelGrid,
     Schedule,
     ScheduledElement,
     pe_for_row,
 )
+from repro.scheduling.crhcs import migrate_grids
+from repro.scheduling.pe_aware import pe_aware_grids
+from repro.scheduling.window import tile_matrix
 
 
 def element(row, channel=0, pe=0, value=1.0, col=0):
@@ -104,6 +108,87 @@ class TestChannelGrid:
         grid.place(0, 2, element(0, pe=2))
         slots = grid.cycle_slots(0)
         assert slots[0] is None and slots[2].row == 0
+
+
+def _element_arrays(grid):
+    return [array.tolist() for array in grid.element_arrays()]
+
+
+class TestTileGrids:
+    """Grids built by :meth:`ChannelGrid.tile_grids` share one buffer per
+    field, each through its own disjoint views."""
+
+    @pytest.fixture
+    def tile(self, paper_chason):
+        matrix = uniform_random(128, 128, 1_800, seed=3)
+        return tile_matrix(matrix, paper_chason)[0]
+
+    def test_writes_to_one_grid_leave_the_others_unchanged(
+        self, tile, paper_chason
+    ):
+        grids = pe_aware_grids(tile, paper_chason)
+        assert grids[0]._row.base is grids[-1]._row.base  # one buffer
+        before = [_element_arrays(g) for g in grids]
+
+        def check_untouched(*changed):
+            for index, grid in enumerate(grids):
+                if index not in changed:
+                    assert _element_arrays(grid) == before[index], index
+            for index in changed:
+                before[index] = _element_arrays(grids[index])
+
+        # Donate the last own element of grid 1 into the last row of
+        # grid 0, the row that borders grid 1 in the buffer.
+        donor, dest = grids[1], grids[0]
+        slots, _rows = donor.own_slots()
+        pes = dest.pes
+        last_row = dest.capacity - 1
+        hole = next(
+            last_row * pes + pe for pe in range(pes)
+            if dest.slot(last_row, pe) is None
+        )
+        donor.donate([int(slots[-1])], dest, [hole])
+        assert dest.slot(last_row, hole % pes) is not None
+        check_untouched(0, 1)
+
+        # Clear and rewrite every slot of the first and last rows of
+        # grid 2.
+        target = grids[2]
+        for cycle in (0, target.capacity - 1):
+            for pe in range(pes):
+                kept = target.slot(cycle, pe)
+                if kept is not None:
+                    target.clear_slot(cycle, pe)
+                    check_untouched(2)
+                target.set_slot(cycle, pe, element(7, channel=2, pe=pe))
+                check_untouched(2)
+                if kept is not None:
+                    target.set_slot(cycle, pe, kept)
+                    check_untouched(2)
+
+        # Growth reallocates grid 3's own planes, keeping its elements.
+        grown = grids[3]
+        old_capacity = grown.capacity
+        grown.reserve(old_capacity + 5)
+        assert grown.capacity > old_capacity
+        assert grown._row.base is not grids[0]._row.base
+        check_untouched()
+        grown.set_slot(old_capacity + 2, 0, element(9, channel=3))
+        check_untouched(3)
+
+    def test_clone_of_a_migrated_grid_keeps_only_live_rows(
+        self, tile, paper_chason
+    ):
+        grids = pe_aware_grids(tile, paper_chason)
+        migrate_grids(grids, paper_chason, 1)
+        for grid in grids:
+            copy = grid.clone()
+            assert grid.capacity > grid.length  # pre-migration storage
+            assert copy.capacity == copy.length == grid.length
+            assert copy.element_count == grid.element_count
+            assert _element_arrays(copy) == _element_arrays(grid)
+            copy.trim_trailing_stalls()
+            assert copy.length == grid.length
 
 
 class TestScheduleInvariants:

@@ -414,6 +414,30 @@ class TestMigrationCounters:
             "scheduler.crhcs.walk_slots": walk,
         }
 
+    @pytest.mark.parametrize(
+        "source, span, jumped",
+        [
+            ("CollegeMsg", 1, 14_735),
+            ("CollegeMsg", 2, 14_541),
+            ("uniform128", 1, 447),
+        ],
+    )
+    def test_jumped_holes_are_pinned(self, source, span, jumped):
+        """Golden count of the holes the walk jumps over: each would have
+        failed a full ``steal_tries`` scan, and each still counts those
+        skips in ``raw_skips``."""
+        if source == "uniform128":
+            matrix = uniform_random(128, 128, 1_800, seed=0)
+        else:
+            matrix = generate_named(source)
+        config = replace(DEFAULT_CHASON, migration_span=span)
+        with telemetry.capture() as cap:
+            schedule_crhcs(matrix, config)
+        assert sum(
+            r["value"] for r in cap.records
+            if r["name"] == "scheduler.crhcs.jumped_holes"
+        ) == jumped
+
 
 class TestWarnOnce:
     def test_invalid_workers_env_warns_once(self, monkeypatch, caplog):
