@@ -17,7 +17,9 @@ once with the hysteretic :class:`~repro.cluster.Autoscaler` allowed to
 grow it to three devices off queue-depth telemetry.  Each arm gets a
 warm-up pass (where the autoscaler does its scaling) and a timed pass;
 autoscale-on must beat the fixed minimum on aggregate p99, and must
-have actually scaled (≥ 1 up action).
+have actually scaled (≥ 1 up action).  Each arm also records its timed
+pass's ``work``: schedule builds and store hits by kind, summed over
+its devices (as ``bench_cluster_scaling.py`` does; no gate reads it).
 
 Cross-cutting: every ``ok`` response in every arm — victim, flood,
 cluster — must be byte-identical to a serial single-tenant
@@ -54,6 +56,8 @@ from repro.serving import ServingEngine, SpMVRequest
 from repro.telemetry import write_manifest
 from repro.telemetry.summarize import percentile
 from repro.tenancy import TenantPolicy
+
+from bench_cluster_scaling import describe_work, store_work, work_since
 
 DEFAULT_GATE = 2.0
 
@@ -377,7 +381,10 @@ def run_cluster_arm(label, requests, budgets, autoscale, reference):
             # from billing cold resharding to the timed pass.
             scaler.stop()
             snapshot = scaler.snapshot()
+        before = store_work(cluster)
         latencies, pairs, run_unhandled = drive_cluster(cluster, requests)
+        # Hedging is off, so nothing of the timed pass runs on after it.
+        work = work_since(before, cluster)
         unhandled += run_unhandled
         alive = cluster.alive_count()
         stats = cluster.status()["stats"]
@@ -391,7 +398,8 @@ def run_cluster_arm(label, requests, budgets, autoscale, reference):
     print(
         f"{label:<22s} p99 {p99:7.1f}ms  devices {alive}  "
         f"ups {ups}  added {stats.get('added_devices', 0)}  "
-        f"reports {'identical' if identity['identical'] else 'MISMATCH'}"
+        f"reports {'identical' if identity['identical'] else 'MISMATCH'}\n"
+        f"{'':<22s} timed pass: {describe_work(work)}"
     )
     return {
         "label": label,
@@ -404,6 +412,7 @@ def run_cluster_arm(label, requests, budgets, autoscale, reference):
         "autoscaler": snapshot,
         "identity": identity,
         "unhandled_exceptions": unhandled,
+        "work": work,
     }
 
 

@@ -44,6 +44,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .. import telemetry
 from ..errors import ReproError, ServingError
+from ..pipeline.stages import LoadStage
 from ..serving.engine import Ticket
 from ..serving.slo import OutcomeLedger
 from ..telemetry import tracing
@@ -559,7 +560,10 @@ class Cluster:
     def _route_and_execute(self, request: SpMVRequest, timeout: float,
                            t: Any) -> ClusterResult:
         try:
-            fingerprint = request.work_fingerprint()
+            # The request's one matrix hash: routing keys on it, and
+            # every attempt, hedge and failover hands it to its device.
+            described = LoadStage.describe(request.source)
+            fingerprint = request.work_fingerprint(described)
         except ReproError as error:
             return ClusterResult(
                 response=SpMVResponse(
@@ -600,7 +604,7 @@ class Cluster:
                 first_device = device.device_id
             self._note_routing(fingerprint, device.device_id, t)
             outcome = self._attempt(
-                request, fingerprint, device, tried, deadline, t
+                request, described, fingerprint, device, tried, deadline, t
             )
             response, responder, did_hedge = outcome
             hedged = hedged or did_hedge
@@ -681,6 +685,7 @@ class Cluster:
     def _attempt(
         self,
         request: SpMVRequest,
+        described: Tuple[str, str, str],
         fingerprint: str,
         device: DeviceHandle,
         tried: List[str],
@@ -694,7 +699,7 @@ class Cluster:
         outstanding device is charged a failure).
         """
         outstanding: List[Tuple[DeviceHandle, Ticket, float]] = [
-            (device, device.submit(request), time.monotonic())
+            (device, device.submit(request, described), time.monotonic())
         ]
         budget = min(
             deadline,
@@ -750,7 +755,7 @@ class Cluster:
                         self._bump("hedges")
                         tried.append(replica.device_id)
                         outstanding.append((
-                            replica, replica.submit(request),
+                            replica, replica.submit(request, described),
                             time.monotonic(),
                         ))
                 hedged = True

@@ -5,9 +5,11 @@ own :class:`~repro.serving.engine.ServingEngine` over one *private*
 :class:`~repro.pipeline.store.ArtifactStore` — a fixed per-device cache
 budget, the way each card owns a fixed slice of HBM: at most
 ``store_capacity`` shared artifacts plus ``schedule_capacity``
-schedules, and nothing else.  Sharding multiplies the fleet's aggregate
-cache, which is exactly what the router's fingerprint affinity
-exploits.
+schedules, and nothing else.  Each budget is a segmented LRU, so the
+hot set a device keeps hitting stays resident while the one-off
+matrices around it evict each other.  Sharding multiplies the fleet's
+aggregate cache, which is exactly what the router's fingerprint
+affinity exploits.
 
 The handle also owns the device's *health ledger*
 (:class:`DeviceHealth`): live queue depth, an EWMA of served latency,
@@ -20,7 +22,7 @@ path, indistinguishable from a genuinely degraded device.
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from ..pipeline.store import ArtifactStore
 from ..serving.engine import ServingEngine, Ticket
@@ -159,9 +161,14 @@ class DeviceHandle:
 
     # -- serving ---------------------------------------------------------
 
-    def submit(self, request: SpMVRequest) -> Ticket:
-        """Submit to this device's engine (never raises once started)."""
-        return self.engine.submit(request)
+    def submit(
+        self,
+        request: SpMVRequest,
+        described: Optional[Tuple[str, str, str]] = None,
+    ) -> Ticket:
+        """Submit to this device's engine (never raises once started);
+        ``described`` as for :meth:`ServingEngine.submit`."""
+        return self.engine.submit(request, described)
 
     def crash(self) -> None:
         """Kill the device: injected-crash every execution from now on."""

@@ -62,14 +62,14 @@ RUNTIME_KNOBS: Tuple[Knob, ...] = (
          "synthetic generation"),
     # caches
     Knob("REPRO_SCHEDULE_CACHE_SIZE", "cache", "16",
-         "global artifact store's in-memory LRU of schedules, keyed by "
-         "schedule fingerprint; 0 disables"),
+         "global artifact store's in-memory segmented LRU of schedules, "
+         "keyed by schedule fingerprint; 0 disables"),
     Knob("REPRO_SCHEDULE_CACHE_DIR", "cache", None,
          "on-disk schedule tier in the §3.2 wire format "
          "(<schedule fingerprint>.chsn files)"),
     Knob("REPRO_PIPELINE_CACHE_SIZE", "cache", "64",
-         "global artifact store's shared LRU (load/simulate/metrics/"
-         "estimate); 0 disables it"),
+         "global artifact store's shared segmented LRU (load/simulate/"
+         "metrics/estimate); 0 disables it"),
     # telemetry
     Knob("REPRO_TELEMETRY", "telemetry", None,
          "JSONL trace path ('-' streams to stderr); unset disables"),

@@ -68,7 +68,7 @@ _ESTIMATE = EstimateStage()
 AnalysisResult = Union[PipelineResult, EstimateResult]
 
 #: Tile snapshots a runner keeps for :meth:`PipelineRunner.reschedule`
-#: (one LRU, evicted least recent first).
+#: (one segmented LRU; see :mod:`repro.pipeline.store`).
 RESCHEDULE_CAPACITY = 128
 
 
@@ -140,7 +140,11 @@ class PipelineRunner:
 
     # -- stage 1: load ---------------------------------------------------
 
-    def load(self, source: Any) -> LoadedMatrix:
+    def load(
+        self,
+        source: Any,
+        described: Optional[Tuple[str, str, str]] = None,
+    ) -> LoadedMatrix:
         """Materialise a matrix source into a :class:`LoadedMatrix`.
 
         ``source`` may be a named-matrix string, a
@@ -149,11 +153,15 @@ class PipelineRunner:
         matrix (COO/CSR/CSC/ELL).  Spec-backed sources are served from
         the store when attached; in-memory matrices are wrapped directly
         (they are already materialised, caching them would only pin
-        memory).
+        memory).  ``described`` is the caller's
+        :meth:`LoadStage.describe` of ``source`` when it already hashed
+        it (a serving layer keys on the same digest), so the matrix is
+        not hashed twice.
         """
         if isinstance(source, LoadedMatrix):
             return source
-        described = _LOAD.describe(source)
+        if described is None:
+            described = _LOAD.describe(source)
         kind, label, digest = described
         t = telemetry.get()
         with t.span("pipeline.load", source=label, kind=kind):
@@ -387,6 +395,7 @@ class PipelineRunner:
         accelerator: Optional[str] = None,
         power_watts: Optional[float] = None,
         calibration: Optional[CalibrationTable] = None,
+        described: Optional[Tuple[str, str, str]] = None,
     ) -> EstimateResult:
         """The estimate tier: load → analytical prediction, no schedule.
 
@@ -394,7 +403,7 @@ class PipelineRunner:
         has no predictor or no calibration entry — the ``auto`` tier
         catches that and falls back to :meth:`analyze`.
         """
-        loaded = self.load(source)
+        loaded = self.load(source, described)
         spec = scheme if isinstance(scheme, SchedulerSpec) else get_scheme(scheme)
         if config is None:
             config = spec.default_config
@@ -440,6 +449,7 @@ class PipelineRunner:
         schedule: Optional[TiledSchedule] = None,
         fidelity: Optional[str] = None,
         calibration: Optional[CalibrationTable] = None,
+        described: Optional[Tuple[str, str, str]] = None,
         **scheduler_kwargs: Any,
     ) -> AnalysisResult:
         """The full analytic flow: load → schedule → simulate → metrics.
@@ -449,19 +459,20 @@ class PipelineRunner:
         ``auto`` tries the estimator and falls back to exact when the
         scheme is not covered.  An adopted ``schedule`` or extra
         scheduler kwargs always force the exact tier — the analytical
-        model knows nothing about either.
+        model knows nothing about either.  ``described`` is as for
+        :meth:`load`.
         """
         tier = resolve_fidelity(fidelity, default="exact")
         if tier != "exact" and schedule is None and not scheduler_kwargs:
             try:
                 return self.estimate(
                     source, scheme, config, accelerator, power_watts,
-                    calibration,
+                    calibration, described,
                 )
             except EstimationError:
                 if tier == "estimate":
                     raise
-        loaded = self.load(source)
+        loaded = self.load(source, described)
         if schedule is not None:
             scheduled = self.adopt(loaded, schedule)
         else:

@@ -22,6 +22,19 @@ artifacts.  So a store never holds more than ``capacity +
 schedule_capacity`` artifacts.  A budget of ``0`` stores nothing of
 that kind: every lookup misses.
 
+**Eviction.**  Each budget is a *segmented* LRU.  A new entry waits in
+probation until its first hit promotes it to the protected segment,
+which keeps at most ``capacity - max(1, capacity // 5)`` entries (13 of
+16, 52 of 64); a hit there refreshes it.  A promotion past that bound
+demotes the least recent protected entry to probation's recent end, for
+a second chance.  Eviction takes probation's least recent entry, and
+probation always keeps a slot.  Re-putting a resident key replaces its
+artifact in its segment.  Why: serving traffic is mostly one-off
+matrices nobody asks for again, around a hot set that recurs.  Under a
+plain LRU the one-offs flushed the hot set, and the host paid the §3.2
+preprocessing of a hot matrix again and again; now one-off entries
+evict each other.
+
 **Disk tier.**  With ``disk_dir`` set, schedules are also written as
 ``<fingerprint>.chsn`` files in the §3.2 wire format
 (:mod:`repro.scheduling.serialize`), so a cache file is exactly the
@@ -41,7 +54,7 @@ from __future__ import annotations
 import os
 import threading
 from collections import OrderedDict
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 from .. import telemetry
 from ..errors import FormatError, SchedulingError
@@ -59,12 +72,51 @@ _BUDGETS = {
 }
 
 
-class _Lru(OrderedDict):
-    """One budgeted LRU of the store (guarded by the store's lock)."""
+class _SegmentedLru:
+    """One budget of the store (guarded by the store's lock), evicting
+    as the module docstring says.  At capacity 1 nothing is ever
+    protected: a plain LRU."""
 
     def __init__(self, capacity: int):
-        super().__init__()
         self.capacity = max(capacity, 0)
+        self.protected_capacity = max(
+            self.capacity - max(1, self.capacity // 5), 0
+        )
+        self._probation: OrderedDict = OrderedDict()
+        self._protected: OrderedDict = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._probation) + len(self._protected)
+
+    def get(self, key) -> Optional[object]:
+        """The artifact for ``key``, or ``None``; a hit is a use."""
+        artifact = self._protected.get(key)
+        if artifact is not None:
+            self._protected.move_to_end(key)
+            return artifact
+        artifact = self._probation.pop(key, None)
+        if artifact is not None:
+            self._protected[key] = artifact
+            while len(self._protected) > self.protected_capacity:
+                demoted, value = self._protected.popitem(last=False)
+                self._probation[demoted] = value
+        return artifact
+
+    def put(self, key, artifact: object) -> List[tuple]:
+        """Insert or replace ``key``; returns the keys evicted."""
+        segment = (
+            self._protected if key in self._protected else self._probation
+        )
+        segment[key] = artifact
+        segment.move_to_end(key)
+        evicted = []
+        while len(self) > self.capacity:
+            evicted.append(self._probation.popitem(last=False)[0])
+        return evicted
+
+    def clear(self) -> None:
+        self._probation.clear()
+        self._protected.clear()
 
 
 class ArtifactStore:
@@ -76,11 +128,11 @@ class ArtifactStore:
         schedule_capacity: Optional[int] = None,
         disk_dir: Optional[str] = None,
     ):
-        self._shared = _Lru(capacity)
+        self._shared = _SegmentedLru(capacity)
         #: kind → its own LRU; every other kind shares ``_shared``.
-        self._own: Dict[str, _Lru] = {}
+        self._own: Dict[str, _SegmentedLru] = {}
         if schedule_capacity is not None:
-            self._own["schedule"] = _Lru(schedule_capacity)
+            self._own["schedule"] = _SegmentedLru(schedule_capacity)
         self.disk_dir = disk_dir
         # Guards the LRUs and counters so serving worker threads can
         # share one store.  Builds run outside the lock: two threads
@@ -115,7 +167,6 @@ class ArtifactStore:
             if artifact is None:
                 table, name = self.misses, "pipeline.cache.misses"
             else:
-                lru.move_to_end(key)
                 table, name = self.hits, "pipeline.cache.hits"
             table[kind] = table.get(kind, 0) + 1
         t = telemetry.get()
@@ -124,22 +175,18 @@ class ArtifactStore:
         return artifact
 
     def put(self, kind: str, digest: str, artifact: object) -> None:
-        """Insert an artifact, evicting the least recent beyond budget."""
+        """Insert an artifact, evicting beyond budget (see the module
+        docstring for which entry goes)."""
         lru = self._own.get(kind, self._shared)
         if lru.capacity == 0:
             return
-        key = (kind, digest)
-        evicted = []
         with self._lock:
-            lru[key] = artifact
-            lru.move_to_end(key)
-            while len(lru) > lru.capacity:
-                (old_kind, _), _ = lru.popitem(last=False)
+            evicted = lru.put((kind, digest), artifact)
+            for old_kind, _ in evicted:
                 self.evictions[old_kind] = self.evictions.get(old_kind, 0) + 1
-                evicted.append(old_kind)
         t = telemetry.get()
         if t.enabled:
-            for old_kind in evicted:
+            for old_kind, _ in evicted:
                 t.counter("pipeline.cache.evictions", 1, stage=old_kind)
 
     def get_or_build(

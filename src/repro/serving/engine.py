@@ -147,13 +147,18 @@ class _Entry:
         "request", "seq", "priority", "spec", "config", "group",
         "work_fp", "submitted_at", "deadline_at", "followers", "done",
         "event", "response", "trace", "owns_root", "tenant", "slo_class",
+        "described",
     )
 
     def __init__(self, request: SpMVRequest, seq: int, spec, config,
                  group: Tuple[str, str], work_fp: str, now: float,
                  trace: Optional[TraceContext] = None,
-                 owns_root: bool = False):
+                 owns_root: bool = False,
+                 described: Optional[Tuple[str, str, str]] = None):
         self.request = request
+        #: The source's :meth:`LoadStage.describe` triple, hashed once
+        #: at admission and reused by every execution of this entry.
+        self.described = described
         #: Tenant and SLO class, resolved once — the fair queue orders
         #: and sheds by them without touching the request again.
         self.tenant = normalize_tenant(request.tenant)
@@ -352,9 +357,20 @@ class ServingEngine:
             return request, None, False
         return dataclasses.replace(request, trace=trace), trace, True
 
-    def submit(self, request: SpMVRequest) -> Ticket:
+    def submit(
+        self,
+        request: SpMVRequest,
+        described: Optional[Tuple[str, str, str]] = None,
+    ) -> Ticket:
         """Admit one request; always returns a ticket, never raises on
-        overload (rejections are structured responses)."""
+        overload (rejections are structured responses).
+
+        ``described`` is the caller's :meth:`LoadStage.describe` of
+        ``request.source`` (the cluster router hashes the matrix once
+        and hands the triple down); without it the engine describes the
+        source itself.  Either way the matrix is hashed once per submit,
+        and it must not change until the request is answered.
+        """
         t = telemetry.get()
         request, trace, owns_root = self._ensure_trace(request)
         with tracing.scope(trace), t.span(
@@ -374,9 +390,8 @@ class ServingEngine:
             try:
                 spec = get_scheme(request.scheme)
                 config = request.resolve_config(spec)
-                _kind, _label, source_digest = LoadStage.describe(
-                    request.source
-                )
+                if described is None:
+                    described = LoadStage.describe(request.source)
             except ReproError as error:
                 # Malformed work (unknown scheme/matrix, bad override)
                 # answers immediately — a structured error, not a crash.
@@ -396,12 +411,12 @@ class ServingEngine:
                 ))
             config_fp = fingerprint_config(config)
             work_fp = fingerprint(
-                "serve", source_digest, spec.name, spec.version, config_fp
+                "serve", described[2], spec.name, spec.version, config_fp
             )
             entry = _Entry(
                 request, next(self._seq), spec, config,
                 group=(spec.name, config_fp), work_fp=work_fp, now=now,
-                trace=trace, owns_root=owns_root,
+                trace=trace, owns_root=owns_root, described=described,
             )
             with self._lock:
                 leader = self._inflight.get(work_fp)
@@ -588,6 +603,7 @@ class ServingEngine:
                 entry.request.source, entry.spec, entry.config,
                 fidelity=self._tier_for(entry.spec.name),
                 calibration=self.calibration,
+                described=entry.described,
             )
             service_s = max(time.monotonic() - started, 0.0)
             response = SpMVResponse(
@@ -651,7 +667,7 @@ class ServingEngine:
             try:
                 exact = self.runner.analyze(
                     entry.request.source, entry.spec, entry.config,
-                    fidelity="exact",
+                    fidelity="exact", described=entry.described,
                 )
             except ReproError:
                 # The request was already answered ok: a failed re-run

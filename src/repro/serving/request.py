@@ -30,7 +30,7 @@ import dataclasses
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from ..config import AcceleratorConfig
 from ..errors import ConfigError
@@ -61,6 +61,11 @@ class SpMVRequest:
     an in-memory matrix.  ``config`` overrides the scheme's default
     configuration wholesale; ``config_overrides`` patches individual
     fields of it (applied with :func:`dataclasses.replace`).
+
+    An in-memory matrix is hashed once per submit, and the answer is
+    computed and cached under that digest: the matrix must not change
+    while the request is in flight.  Editing it between submits is
+    fine; the next submit hashes it again.
     """
 
     source: Any
@@ -117,7 +122,9 @@ class SpMVRequest:
                 ) from error
         return config
 
-    def work_fingerprint(self) -> str:
+    def work_fingerprint(
+        self, described: Optional[Tuple[str, str, str]] = None
+    ) -> str:
         """Content fingerprint of the *work* (not the service params).
 
         Two requests with equal work fingerprints produce byte-identical
@@ -125,14 +132,17 @@ class SpMVRequest:
         affect *when* work runs, never *what* it computes, so they stay
         out of the digest.  Matches the fingerprint chain the pipeline
         itself uses, so a coalesced hit is exactly a whole-flow cache
-        hit.
+        hit.  ``described`` is the caller's :meth:`LoadStage.describe`
+        of ``source``; without it the source is described (an in-memory
+        matrix hashed) here.
         """
         spec = get_scheme(self.scheme)
         config = self.resolve_config(spec)
-        _kind, _label, source_digest = LoadStage.describe(self.source)
+        if described is None:
+            described = LoadStage.describe(self.source)
         return fingerprint(
             "serve",
-            source_digest,
+            described[2],
             spec.name,
             spec.version,
             fingerprint_config(config),

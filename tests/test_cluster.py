@@ -18,6 +18,7 @@ import dataclasses
 import json
 import logging
 
+import numpy as np
 import pytest
 
 from repro import telemetry
@@ -41,7 +42,7 @@ from repro.cluster.cluster import (
 )
 from repro.errors import DeviceFaultError, ServingError
 from repro.knobs import RUNTIME_KNOBS, knob
-from repro.matrices.generators import uniform_random
+from repro.matrices.generators import power_law_rows, uniform_random
 from repro.pipeline.runner import PipelineRunner
 from repro.scheduling.registry import get_scheme
 from repro.serving import SpMVRequest
@@ -328,9 +329,9 @@ class TestDeviceBudget:
 
 class TestMatrixHashes:
     """How many times one exact-tier request hashes its in-memory matrix,
-    fresh or a cache hit: once to load it, plus once per layer above the
-    runner that keys on its work fingerprint (engine admission, cluster
-    routing)."""
+    fresh or a cache hit: once, at the outermost entry (serial
+    ``analyze``, ``ServingEngine.submit`` or cluster routing), which
+    hands the digest down to the load stage."""
 
     @pytest.fixture
     def hashes(self, monkeypatch):
@@ -356,23 +357,103 @@ class TestMatrixHashes:
             assert len(hashes) == 1
         assert runner.store.hits["schedule"]  # the second run was a hit
 
-    def test_engine_request_hashes_twice(self, hashes):
+    def test_engine_request_hashes_once(self, hashes):
         from repro.serving import ServingEngine
 
         with ServingEngine(workers=1, fidelity="exact") as engine:
             for _ in range(2):
                 hashes.clear()
                 assert engine.submit(SpMVRequest(MATRICES[0])).result(30).ok
-                assert len(hashes) == 2
+                assert len(hashes) == 1
 
-    def test_cluster_request_hashes_three_times(self, hashes):
-        # Hedging off: a hedged duplicate would hash on a second device.
+    def test_cluster_request_hashes_once(self, hashes):
+        # Hedging off: this test pins the unhedged path.
         with Cluster(devices=3, fidelity="exact", hedge_ms=60_000,
                      fault_plan=FaultPlan()) as cluster:
             for _ in range(2):
                 hashes.clear()
                 assert cluster.execute(SpMVRequest(MATRICES[0])).ok
-                assert len(hashes) == 3
+                assert len(hashes) == 1
+
+    def test_hedged_cluster_request_hashes_once(self, hashes):
+        with Cluster(devices=2, fidelity="exact", hedge_ms=40,
+                     fault_plan=FaultPlan()) as cluster:
+            request = request_with_primary(cluster, "dev0")
+            cluster.devices["dev0"].engine.runner = _Staller(0.3)
+            hashes.clear()
+            result = cluster.execute(request, timeout=30.0)
+        # Both devices executed (the stalled primary finished while the
+        # cluster drained), from the router's one hash.
+        assert result.ok and result.hedged
+        assert len(hashes) == 1
+
+    def test_a_matrix_edited_between_submits_is_hashed_again(self):
+        """The digest lives for one submit: resubmitting the same request
+        object after editing its matrix in place answers for the edited
+        matrix, exactly as a fresh serial run does."""
+        # Skewed rows: transposing it in place changes its schedule
+        # (values alone never reach the report).
+        matrix = power_law_rows(48, 48, 260, seed=1)
+        request = SpMVRequest(matrix)
+        answers, expected = [], []
+        with Cluster(devices=3, fidelity="exact", hedge_ms=60_000,
+                     fault_plan=FaultPlan()) as cluster:
+            for _ in range(3):
+                expected.append(report_bytes(serial_report(request)))
+                result = cluster.execute(request)
+                assert result.ok
+                answers.append(report_bytes(result.response.report))
+                matrix.rows[:], matrix.cols[:] = (
+                    matrix.cols.copy(), matrix.rows.copy()
+                )
+        assert answers == expected
+        assert answers[0] != answers[1] and answers[2] == answers[0]
+
+
+class TestHotSetBuilds:
+    def test_one_off_traffic_does_not_flush_the_hot_set(self, monkeypatch):
+        """perfbench ``oneshot``'s mix, small: one client, three
+        exact-tier devices at their default budgets, 30 % of 400
+        requests from a Zipf-0.5 hot set of 32 matrices and 70 %
+        never-seen.  Count the hot-set requests' schedule builds: 40 of
+        117 with the segmented store LRUs; 72 with the plain LRUs they
+        replaced, where the one-offs flushed the hot set."""
+        from repro.pipeline.stages import ScheduleStage
+
+        builds = []
+        real = ScheduleStage.run
+
+        def counting(self, *args, **kwargs):
+            builds.append(1)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(ScheduleStage, "run", counting)
+        hot = [uniform_random(32, 32, 100, seed=10_000 + index)
+               for index in range(32)]
+        weights = 1.0 / np.arange(1, len(hot) + 1) ** 0.5
+        cumulative = np.cumsum(weights / weights.sum())
+        picks = np.random.default_rng(2026)
+        hot_requests = hot_builds = 0
+        with Cluster(devices=3, fidelity="exact", hedge_ms=60_000,
+                     fault_plan=FaultPlan()) as cluster:
+            for matrix in hot:
+                assert cluster.execute(SpMVRequest(matrix)).ok
+            for position in range(400):
+                is_hot = picks.random() >= 0.7
+                if is_hot:
+                    index = int(np.searchsorted(
+                        cumulative, picks.random(), side="right"
+                    ))
+                    matrix = hot[min(index, len(hot) - 1)]
+                else:
+                    matrix = uniform_random(32, 32, 100,
+                                            seed=20_000 + position)
+                before = len(builds)
+                assert cluster.execute(SpMVRequest(matrix)).ok
+                if is_hot:
+                    hot_requests += 1
+                    hot_builds += len(builds) - before
+        assert (hot_requests, hot_builds) == (117, 40)
 
 
 class TestFailover:
