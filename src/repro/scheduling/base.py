@@ -16,6 +16,10 @@ occupied prefix costs nothing because ``length`` can exceed the allocated
 storage).  A dict-style compatibility view (:attr:`ChannelGrid.occupied`)
 plus ``slot()``/``iter_elements()``/``holes()`` keep pre-array callers and
 tests working unchanged.
+
+Like the §3.2 channel data lists the device only streams, a grid the
+schedulers hand on is a value: its planes are read-only, and a pass that
+moves elements returns new grids instead of editing them.
 """
 
 from __future__ import annotations
@@ -34,6 +38,16 @@ STALL_SENTINEL = -1
 
 #: Smallest non-zero cycle capacity a grid allocates.
 _MIN_CAPACITY = 8
+
+#: ``(dtype, stall fill)`` of each plane, in ``(value, row, col,
+#: origin_channel, origin_pe)`` order.
+_PLANES = (
+    (np.float64, 0.0),
+    (np.int64, STALL_SENTINEL),
+    (np.int64, STALL_SENTINEL),
+    (np.int64, STALL_SENTINEL),
+    (np.int64, STALL_SENTINEL),
+)
 
 
 class ScheduledElement(NamedTuple):
@@ -99,7 +113,7 @@ class _OccupiedView(MutableMapping):
         return self._grid.slot(key[0], key[1]) is not None
 
     def __iter__(self) -> Iterator[Tuple[int, int]]:
-        cycles, pes = self._grid.occupied_coords()
+        cycles, pes = self._grid.element_arrays()[:2]
         for cycle, pe in zip(cycles.tolist(), pes.tolist()):
             yield (cycle, pe)
 
@@ -122,13 +136,17 @@ class _OccupiedView(MutableMapping):
 class ChannelGrid:
     """The data list of one channel: occupied slots over ``length`` cycles.
 
-    Mutable on purpose — CrHCS migration edits grids in place (it removes
-    donated elements from the donor and fills holes in the destination).
-
     Storage is five dense ``(capacity, pes)`` arrays; ``origin_channel ==
     STALL_SENTINEL`` marks an empty slot.  ``length`` may exceed
     ``capacity``: cycles past the allocated prefix are implicit stalls, so
     resizing a short channel to a long one (§3.1) is O(1).
+
+    The single-slot API (:meth:`place`, :meth:`set_slot`, :meth:`take`,
+    :attr:`occupied`) writes the planes; builders that place elements one
+    at a time and the legacy reference walk use it.  Every grid a pass
+    hands on has read-only planes (:meth:`tile_grids`, :meth:`freeze`),
+    so a shallow ``copy.copy`` shares them safely; trimming and
+    equalising change only ``length``.
     """
 
     __slots__ = (
@@ -150,12 +168,9 @@ class ChannelGrid:
         self.channel_id = channel_id
         self.pes = pes
         self.length = length
-        self._capacity = 0
-        self._value = np.empty((0, pes), dtype=np.float64)
-        self._row = np.empty((0, pes), dtype=np.int64)
-        self._col = np.empty((0, pes), dtype=np.int64)
-        self._origin_channel = np.empty((0, pes), dtype=np.int64)
-        self._origin_pe = np.empty((0, pes), dtype=np.int64)
+        self._set_planes(
+            tuple(np.empty((0, pes), dtype=dtype) for dtype, _ in _PLANES)
+        )
         self._count = 0
         #: Largest occupied cycle, tracked incrementally so
         #: :meth:`trim_trailing_stalls` never rescans the grid; a removal
@@ -188,29 +203,12 @@ class ChannelGrid:
         """Pre-allocate storage for ``cycles`` cycle rows."""
         if cycles > self._capacity:
             new_capacity = max(cycles, 2 * self._capacity, _MIN_CAPACITY)
-            old = self._capacity
-            grown_value = np.empty((new_capacity, self.pes), dtype=np.float64)
-            grown_row = np.empty((new_capacity, self.pes), dtype=np.int64)
-            grown_col = np.empty((new_capacity, self.pes), dtype=np.int64)
-            grown_och = np.empty((new_capacity, self.pes), dtype=np.int64)
-            grown_ope = np.empty((new_capacity, self.pes), dtype=np.int64)
-            if old:
-                grown_value[:old] = self._value
-                grown_row[:old] = self._row
-                grown_col[:old] = self._col
-                grown_och[:old] = self._origin_channel
-                grown_ope[:old] = self._origin_pe
-            grown_value[old:] = 0.0
-            grown_row[old:] = STALL_SENTINEL
-            grown_col[old:] = STALL_SENTINEL
-            grown_och[old:] = STALL_SENTINEL
-            grown_ope[old:] = STALL_SENTINEL
-            self._value = grown_value
-            self._row = grown_row
-            self._col = grown_col
-            self._origin_channel = grown_och
-            self._origin_pe = grown_ope
-            self._capacity = new_capacity
+            grown = []
+            for plane, (dtype, stall) in zip(self._planes(), _PLANES):
+                bigger = np.full((new_capacity, self.pes), stall, dtype=dtype)
+                bigger[:self._capacity] = plane
+                grown.append(bigger)
+            self._set_planes(tuple(grown))
 
     def ensure_length(self, length: int) -> None:
         """Pad with stall-only cycles up to ``length`` (§3.1 resizing).
@@ -237,9 +235,7 @@ class ChannelGrid:
         grid.channel_id = channel_id
         grid.pes = pes
         grid.length = length
-        grid._capacity = planes[0].shape[0]
-        (grid._value, grid._row, grid._col, grid._origin_channel,
-         grid._origin_pe) = planes
+        grid._set_planes(planes)
         grid._count = count
         grid._max_cycle = max_cycle
         grid._max_dirty = max_dirty
@@ -251,8 +247,7 @@ class ChannelGrid:
         channels: int,
         pes: int,
         elem_channels: np.ndarray,
-        cycles: np.ndarray,
-        pe_ids: np.ndarray,
+        slots: np.ndarray,
         rows: np.ndarray,
         cols: np.ndarray,
         values: np.ndarray,
@@ -262,42 +257,33 @@ class ChannelGrid:
     ) -> List["ChannelGrid"]:
         """All ``channels`` grids of one tile from element arrays.
 
-        Elements must be sorted by channel (any order within a channel)
-        and sit at distinct slots.  Each field takes one sentinel fill
-        and one scatter into one buffer that holds every channel's cycle
-        rows back to back; grid *c* keeps disjoint ``(capacity, pes)``
-        views of it, ``capacity`` being its last occupied cycle + 1.  The
-        grids are ordinary grids: :meth:`reserve` growth reallocates a
-        grid's own planes and :meth:`clone` copies them.  ``length`` is
-        every grid's list length; ``None`` ends each list at its last
-        non-zero.
+        Elements may come in any order but must sit at distinct flat
+        ``slots`` (``cycle * pes + pe``) of their channel.  Each field
+        takes one sentinel fill and one scatter into one read-only
+        buffer that holds every channel's cycle rows back to back; grid
+        *c* keeps disjoint ``(capacity, pes)`` views of it, ``capacity``
+        being its last occupied cycle + 1.  ``length`` is every grid's
+        list length; ``None`` ends each list at its last non-zero.
         """
-        bounds = np.searchsorted(elem_channels, np.arange(channels + 1))
-        counts = np.diff(bounds)
+        counts = np.bincount(elem_channels, minlength=channels)
         tops = np.full(channels, -1, dtype=np.int64)
-        if cycles.size:
-            nonempty = counts > 0
-            tops[nonempty] = np.maximum.reduceat(
-                cycles, bounds[:-1][nonempty]
-            )
+        np.maximum.at(tops, elem_channels, slots)
+        top_cycles = tops // pes  # -1 for an empty channel
         offsets = np.zeros(channels + 1, dtype=np.int64)
-        np.cumsum(tops + 1, out=offsets[1:])
-        flat = (np.repeat(offsets[:-1], counts) + cycles) * pes + pe_ids
+        np.cumsum(top_cycles + 1, out=offsets[1:])
+        flat = offsets[elem_channels] * pes + slots
         planes = []
-        for field, dtype, stall in (
-            (values, np.float64, 0.0),
-            (rows, np.int64, STALL_SENTINEL),
-            (cols, np.int64, STALL_SENTINEL),
-            (origin_channels, np.int64, STALL_SENTINEL),
-            (origin_pes, np.int64, STALL_SENTINEL),
+        for field, (dtype, stall) in zip(
+            (values, rows, cols, origin_channels, origin_pes), _PLANES
         ):
             plane = np.full((int(offsets[-1]), pes), stall, dtype=dtype)
             plane.reshape(-1)[flat] = field
+            plane.setflags(write=False)
             planes.append(plane)
         grids = []
         for c, (lo, hi, count, top) in enumerate(zip(
             offsets[:-1].tolist(), offsets[1:].tolist(),
-            counts.tolist(), tops.tolist(),
+            counts.tolist(), top_cycles.tolist(),
         )):
             grids.append(cls._from_planes(
                 c, pes, hi - lo if length is None else length,
@@ -305,24 +291,33 @@ class ChannelGrid:
             ))
         return grids
 
-    def clone(self) -> "ChannelGrid":
-        """An independent deep copy (a ``pass`` snapshot).
-
-        Copies the live rows of the five backing arrays (the first
-        ``min(length, capacity)``; no occupied slot sits past ``length``)
-        and every incremental counter, so mutating either grid afterwards
-        never aliases into the other and ``trim_trailing_stalls`` stays
-        O(1) on the copy.
-        """
-        stored = min(self.length, self._capacity)
+    def __copy__(self) -> "ChannelGrid":
+        """A new header over the same planes (a ``pass`` snapshot)."""
         return ChannelGrid._from_planes(
-            self.channel_id, self.pes, self.length,
-            tuple(plane[:stored].copy() for plane in (
-                self._value, self._row, self._col, self._origin_channel,
-                self._origin_pe,
-            )),
+            self.channel_id, self.pes, self.length, self._planes(),
             self._count, self._max_cycle, self._max_dirty,
         )
+
+    def _planes(self) -> Tuple[np.ndarray, ...]:
+        return (
+            self._value, self._row, self._col, self._origin_channel,
+            self._origin_pe,
+        )
+
+    def _set_planes(self, planes: Tuple[np.ndarray, ...]) -> None:
+        (self._value, self._row, self._col, self._origin_channel,
+         self._origin_pe) = planes
+        self._capacity = planes[0].shape[0]
+
+    def freeze(self) -> None:
+        """Make the planes read-only: the grid is handed on as a value.
+
+        The five planes are always made read-only together, so one flag
+        tells whether the grid already is (as :meth:`tile_grids` makes it).
+        """
+        if self._value.flags.writeable:
+            for plane in self._planes():
+                plane.setflags(write=False)
 
     # -- single-slot API ------------------------------------------------------
 
@@ -353,13 +348,14 @@ class ChannelGrid:
                 f"slot (cycle={cycle}, pe={pe}) out of range"
             )
         self.reserve(cycle + 1)
-        if self._origin_channel[cycle, pe] < 0:
-            self._count += 1
+        was_stall = self._origin_channel[cycle, pe] < 0
         self._row[cycle, pe] = element.row
         self._col[cycle, pe] = element.col
         self._value[cycle, pe] = element.value
         self._origin_channel[cycle, pe] = element.origin_channel
         self._origin_pe[cycle, pe] = element.origin_pe
+        if was_stall:
+            self._count += 1
         if cycle > self._max_cycle:
             self._max_cycle = cycle
         self.ensure_length(cycle + 1)
@@ -410,12 +406,6 @@ class ChannelGrid:
             mask[:stored] = self._origin_channel[:stored] >= 0
         return mask
 
-    def occupied_coords(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(cycles, pes)`` of occupied slots in stream order."""
-        stored = min(self.length, self._capacity)
-        flat = np.flatnonzero(self._origin_channel[:stored].ravel() >= 0)
-        return flat // self.pes, flat % self.pes
-
     def hole_coords(
         self, length: Optional[int] = None
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -425,82 +415,47 @@ class ChannelGrid:
         flat = np.flatnonzero(~self.occupied_mask(length).ravel())
         return flat // self.pes, flat % self.pes
 
+    def flat_elements(
+        self,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray,
+               np.ndarray]:
+        """``(slots, rows, cols, values, origin_channels, origin_pes)`` of
+        every occupied slot, in stream order.
+
+        A slot is the flat id ``cycle * pes + pe``: the slot's position in
+        stream order and its index into the row-major planes, so each
+        field is one flat gather.
+        """
+        stored = min(self.length, self._capacity) * self.pes
+        origin_channels = self._origin_channel.reshape(-1)[:stored]
+        slots = np.flatnonzero(origin_channels >= 0)
+        return (
+            slots,
+            self._row.reshape(-1)[slots],
+            self._col.reshape(-1)[slots],
+            self._value.reshape(-1)[slots],
+            origin_channels[slots],
+            self._origin_pe.reshape(-1)[slots],
+        )
+
     def element_arrays(
         self,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray,
                np.ndarray, np.ndarray]:
         """``(cycles, pes, rows, cols, values, origin_channels, origin_pes)``
         of every occupied slot, in stream order."""
-        cycles, pes = self.occupied_coords()
-        return (
-            cycles,
-            pes,
-            self._row[cycles, pes],
-            self._col[cycles, pes],
-            self._value[cycles, pes],
-            self._origin_channel[cycles, pes],
-            self._origin_pe[cycles, pes],
-        )
-
-    # -- flat-slot API (CrHCS migration) --------------------------------------
-    #
-    # A flat slot id is ``cycle * pes + pe``: the slot's position in stream
-    # order, and its index into the row-major backing arrays.
-
-    def own_slots(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(flat slots, rows)`` of this channel's private elements in
-        stream order.
-
-        These are the migration candidates CrHCS offers to the previous
-        channel, latest first; elements that already migrated *in* stay
-        put (Fig. 5d migrates only values that originally belonged to the
-        donor).
-        """
-        stored = min(self.length, self._capacity)
-        flat = np.flatnonzero(
-            self._origin_channel[:stored].ravel() == self.channel_id
-        )
-        return flat, self._row[:stored].ravel()[flat]
-
-    def donate(
-        self, slots: List[int], dest: "ChannelGrid", dest_slots: List[int]
-    ) -> None:
-        """Move the elements at flat ``slots`` into the stall slots
-        ``dest_slots`` of ``dest``; the donated slots become stalls.
-
-        Moved elements keep their origin channel and PE — the
-        ``(pvt=0, PE_src)`` metadata of §3.2.
-        """
-        if not slots:
-            return
-        src = np.asarray(slots, dtype=np.int64)
-        dst = np.asarray(dest_slots, dtype=np.int64)
-        top = int(dst.max()) // dest.pes
-        dest.reserve(top + 1)
-        for mine, theirs, stall in (
-            (self._row, dest._row, STALL_SENTINEL),
-            (self._col, dest._col, STALL_SENTINEL),
-            (self._value, dest._value, 0.0),
-            (self._origin_channel, dest._origin_channel, STALL_SENTINEL),
-            (self._origin_pe, dest._origin_pe, STALL_SENTINEL),
-        ):
-            mine = mine.reshape(-1)
-            theirs.reshape(-1)[dst] = mine[src]
-            mine[src] = stall
-        self._count -= src.size
-        self._max_dirty = True
-        dest._count += src.size
-        if top > dest._max_cycle:
-            dest._max_cycle = top
-        dest.ensure_length(top + 1)
+        slots, *fields = self.flat_elements()
+        cycles, pes = np.divmod(slots, self.pes)
+        return (cycles, pes, *fields)
 
     # -- compaction ---------------------------------------------------------
 
     def trim_trailing_stalls(self) -> None:
-        """Drop all-stall cycles from the tail (post-migration compaction).
+        """Drop all-stall cycles from the tail (the compact pass).
 
-        O(1) thanks to the incrementally tracked maximum occupied cycle;
-        only a removal at the old maximum forces a (vectorized) rescan.
+        Changes only ``length``.  O(1) thanks to the incrementally tracked
+        maximum occupied cycle; only a removal at the old maximum forces a
+        (vectorized, read-only) rescan.
         """
         if self._count == 0:
             self.length = 0

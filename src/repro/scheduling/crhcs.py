@@ -99,15 +99,19 @@ def migrate_grids(
     migration_span: int,
     steal_tries: int = DEFAULT_STEAL_TRIES,
     report: Optional[MigrationReport] = None,
-) -> None:
-    """Apply the CrHCS ring migration in place (§3.1, Fig. 5).
+) -> List[ChannelGrid]:
+    """The CrHCS ring migration of one tile (§3.1, Fig. 5).
 
-    One exact pass per tile, in three phases:
+    Reads ``grids`` (grid *c* is channel *c*) and returns the migrated
+    grids, each list ending at its last non-zero; the input grids are
+    left as they were.  One exact pass, in three phases:
 
-    1. *Extract once.*  Read each channel's occupancy over the equalised
-       length (one byte per flat slot ``cycle * pes + pe``) and its own
-       elements in stream order (flat slots and compact row ids, as plain
-       Python lists).
+    1. *Extract once.*  Read every channel's occupied slots in stream
+       order with their fields (:meth:`ChannelGrid.flat_elements`; a
+       slot is the flat id ``cycle * pes + pe``).  From them build each
+       channel's occupancy over the equalised length (one byte per slot)
+       and its own elements (slots and compact row ids, as plain Python
+       lists).
     2. *Walk.*  Each (destination, donor) step walks the destination's
        slots in stream order with a running PE index, passing occupied
        slots.  A donor's candidate queue is its own-element list read
@@ -122,8 +126,11 @@ def migrate_grids(
        until a take, so every hole jumped over would fail the same scan,
        and it is counted in ``raw_skips`` as if scanned
        (``scheduler.crhcs.jumped_holes`` counts them).
-    3. *Apply.*  When the ring finishes, every step's transfers are
-       written to the grids in bulk, in step order.
+    3. *Lay out.*  When the ring finishes, every moved element's channel
+       and slot are overwritten at once, and the grids are laid out in
+       one allocation with one scatter per field
+       (:meth:`ChannelGrid.tile_grids`), so each ``capacity`` is the
+       last occupied cycle + 1 and the planes are read-only.
 
     The result is slot-for-slot the walk of
     :func:`repro.scheduling.legacy.legacy_migrate_grids`.
@@ -131,31 +138,48 @@ def migrate_grids(
     if steal_tries < 1:
         raise SchedulingError("steal_tries must be >= 1")
     channels = len(grids)
+    pes = config.pes_per_channel
     distance = config.accumulator_latency
+
+    # Phase 1.  Every element of the tile, channel-major in stream order.
+    live = [grid.flat_elements() for grid in grids]
+    (elem_slots, elem_rows, elem_cols, elem_values, elem_origin_channels,
+     elem_origin_pes) = (np.concatenate(field) for field in zip(*live))
+    elem_channels = np.repeat(
+        np.arange(channels), [fields[0].size for fields in live]
+    )
     if report is not None:
-        report.own_issues += sum(g.element_count for g in grids)
+        report.own_issues += elem_slots.size
     if migration_span == 0 or channels < 2:
-        for grid in grids:
-            grid.trim_trailing_stalls()
-        return
+        return ChannelGrid.tile_grids(
+            channels, pes, elem_channels, elem_slots, elem_rows, elem_cols,
+            elem_values, elem_origin_channels, elem_origin_pes,
+        )
 
     # §3.1: the data lists are resized to the longest one; the padded
     # stalls of short (even empty) channels are exactly the slots
-    # migration fills.  Trailing leftovers are trimmed at the end.
-    longest = max((grid.length for grid in grids), default=0)
-    for grid in grids:
-        grid.ensure_length(longest)
-
-    # Phase 1.  A donor's queue is its own elements in stream order, so
-    # the queue front (its latest element) is the end of the list.
-    pes = config.pes_per_channel
+    # migration fills.  ``keys`` (channel-major flat slots) ascend.
+    longest = max(grid.length for grid in grids)
+    end = longest * pes
+    keys = elem_channels * end + elem_slots
+    occupied = np.zeros(channels * end, dtype=np.uint8)
+    occupied[keys] = 1
     occupancy = [
-        bytearray(grid.occupied_mask(longest).tobytes()) for grid in grids
+        bytearray(occupied[c * end:(c + 1) * end]) for c in range(channels)
     ]
-    own = [grid.own_slots() for grid in grids]
-    row_ids = np.unique(np.concatenate([rows for _, rows in own]))
-    queue_slots = [slots.tolist() for slots, _ in own]
-    queue_rows = [np.searchsorted(row_ids, rows).tolist() for _, rows in own]
+    # A donor's queue is its own elements in stream order, so the queue
+    # front (its latest element) is the end of the list.
+    own = elem_origin_channels == elem_channels
+    row_ids, candidate_rows = np.unique(elem_rows[own], return_inverse=True)
+    candidate_slots = elem_slots[own].tolist()
+    candidate_rows = candidate_rows.tolist()
+    bounds = np.searchsorted(
+        elem_channels[own], np.arange(channels + 1)
+    ).tolist()
+    queue_slots = [
+        candidate_slots[lo:hi] for lo, hi in zip(bounds, bounds[1:])
+    ]
+    queue_rows = [candidate_rows[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     # expiry[pe][row id]: the first cycle at which the row may issue again
     # in that PE of the current destination (§3.3), kept as the flat slot
     # id of that cycle's PE 0 plus ``base``.  Each destination raises
@@ -170,7 +194,6 @@ def migrate_grids(
     prefix_slots = 0
     walk_slots = 0
     jumped_holes = 0
-    end = longest * pes
     for c in range(channels):
         occ = occupancy[c]
         fresh = True
@@ -280,18 +303,27 @@ def migrate_grids(
                 report.pair_counts[(c, donor_id)] += migrated_here
         base += (longest + distance) * pes
 
-    # Phase 3.
-    for c, donor_id, taken, filled in moves:
-        grids[donor_id].donate(taken, grids[c], filled)
-
     t = telemetry.get()
     if t.enabled:
         t.counter("scheduler.crhcs.prefix_slots", prefix_slots)
         t.counter("scheduler.crhcs.walk_slots", walk_slots)
         t.counter("scheduler.crhcs.jumped_holes", jumped_holes)
 
-    for grid in grids:
-        grid.trim_trailing_stalls()
+    # Phase 3.  A donor's own elements sit at their original slots until
+    # taken, and each is taken at most once, so a taken slot's key finds
+    # the element.
+    if moves:
+        dests, donors, taken, filled = zip(*moves)
+        sizes = [len(step) for step in taken]
+        moved = np.searchsorted(
+            keys, np.repeat(donors, sizes) * end + np.concatenate(taken)
+        )
+        elem_channels[moved] = np.repeat(dests, sizes)
+        elem_slots[moved] = np.concatenate(filled)
+    return ChannelGrid.tile_grids(
+        channels, pes, elem_channels, elem_slots, elem_rows, elem_cols,
+        elem_values, elem_origin_channels, elem_origin_pes,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +557,7 @@ def rebuild_grids(
 
 def _crhcs_migrator(grids, config, options, report):
     """Kernel adapter for the pass pipeline (``migrate:crhcs``)."""
-    migrate_grids(
+    return migrate_grids(
         grids,
         config,
         options["migration_span"],
@@ -610,9 +642,9 @@ def schedule_crhcs_tile(
     span = _resolve_span(config, migration_span)
     tile_report = MigrationReport()
     if mode == "migrate":
-        grids = pe_aware_grids(tile, config)
-        migrate_grids(
-            grids, config, span, steal_tries=steal_tries, report=tile_report
+        grids = migrate_grids(
+            pe_aware_grids(tile, config), config, span,
+            steal_tries=steal_tries, report=tile_report,
         )
         scheme = "crhcs"
     elif mode == "rebuild":

@@ -6,7 +6,9 @@ structure — the array-backed :class:`~repro.scheduling.base.ChannelGrid`
 which tile a state belongs to, the grids produced so far, and the
 migration bookkeeping accumulated along the way.
 
-A pass transforms one :class:`TileState` in place.  Tiles are mutually
+A pass transforms one :class:`TileState`: it replaces ``grids`` with the
+grids it produces and never writes a plane it received (grids are
+values, with read-only planes).  Tiles are mutually
 independent (a :class:`~repro.scheduling.base.TiledSchedule` concatenates
 them), which is what makes per-tile fingerprint chains — and hence
 incremental rescheduling — possible: an in-place matrix edit invalidates
@@ -30,7 +32,7 @@ Every pass declares:
     config's default span hash identically.
 ``cacheable``
     Whether the manager snapshots the tile state after this pass runs.
-    Only the expensive passes (build, migrate) are worth the grid copy;
+    Only the expensive passes (build, migrate) are worth a snapshot;
     compact/trim/verify are cheap enough to always re-run.
 """
 

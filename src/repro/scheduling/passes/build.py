@@ -111,9 +111,12 @@ class BuildGridPass(SchedulePass):
         report = None
         if entry.uses_report:
             report = MigrationReport()
-        state.grids = entry.fn(
-            state.tile, ir.config, self._options, report
-        )
+        grids = entry.fn(state.tile, ir.config, self._options, report)
+        # Kernels that place elements one at a time hand back writable
+        # grids; every grid leaves the pass as a value.
+        for grid in grids:
+            grid.freeze()
+        state.grids = grids
         if report is not None:
             state.report = report
             state.migrated = report.migrated

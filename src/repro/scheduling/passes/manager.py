@@ -17,10 +17,10 @@ pipeline's artifact store: anything with ``get(kind, digest)`` and
 fingerprint(d_{i-1}, pass token, pass version, pass params)``.  Before
 running, the manager probes the cache at the chain's cacheable depths
 (deepest first) and resumes each tile after the deepest hit; after
-running a cacheable pass it stores a snapshot (cloned grids + migration
-bookkeeping) of kind ``pass`` under that depth's digest.  Because the
-chain folds in the upstream digest *and* each pass's config, a
-``MigratePass``-only parameter change reuses the cached
+running a cacheable pass it stores a snapshot (the grids + migration
+bookkeeping, held by reference) of kind ``pass`` under that depth's
+digest.  Because the chain folds in the upstream digest *and* each
+pass's config, a ``MigratePass``-only parameter change reuses the cached
 ``BuildGridPass`` artifact, and an in-place matrix edit invalidates
 exactly the tiles it touched — which is all incremental rescheduling is.
 The snapshots are keyed by digest alone, so schemes with a common pass
@@ -33,6 +33,7 @@ annotated with how many tiles executed versus resumed from cache.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -119,7 +120,14 @@ def resolve_passes(
 
 @dataclass
 class _TileSnapshot:
-    """Cached tile state after one cacheable pass."""
+    """Cached tile state after one cacheable pass.
+
+    Grids are values, so a snapshot shares their read-only planes: it
+    copies only each grid's header, whose ``length`` the compact and trim
+    passes change.  The per-tile report is held as it is; nothing writes
+    it after its pass (:meth:`PassManager._assemble` merges it into a
+    fresh aggregate).
+    """
 
     grids: List[ChannelGrid]
     migrated: int
@@ -128,15 +136,15 @@ class _TileSnapshot:
     @staticmethod
     def of(state: TileState) -> "_TileSnapshot":
         return _TileSnapshot(
-            grids=[g.clone() for g in state.grids or []],
+            grids=[copy.copy(g) for g in state.grids or []],
             migrated=state.migrated,
-            report=state.report.copy() if state.report else None,
+            report=state.report,
         )
 
     def restore(self, state: TileState) -> None:
-        state.grids = [g.clone() for g in self.grids]
+        state.grids = [copy.copy(g) for g in self.grids]
         state.migrated = self.migrated
-        state.report = self.report.copy() if self.report else None
+        state.report = self.report
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,16 @@ the pass layer never reaches up into the scheme modules.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Tuple
+from typing import Callable, Dict, List, Mapping, Tuple
 
 from ...errors import ConfigError, SchedulingError
+from ..base import ChannelGrid
 from ..stats import MigrationReport
 from .base import SchedulePass, ScheduleIR, TileState
 
-#: ``migrator(grids, config, options, report) -> None`` (in place).
-MigratorFn = Callable[..., None]
+#: ``migrator(grids, config, options, report) -> List[ChannelGrid]``: reads
+#: the built grids and returns new, read-only ones.
+MigratorFn = Callable[..., List[ChannelGrid]]
 
 
 @dataclass(frozen=True)
@@ -99,6 +101,8 @@ class MigratePass(SchedulePass):
         # Always account per tile — Schedule.migrated_count comes from
         # here whether or not the caller asked for a report.
         report = MigrationReport()
-        self._entry.fn(state.grids, ir.config, self._options, report)
+        state.grids = self._entry.fn(
+            state.grids, ir.config, self._options, report
+        )
         state.report = report
         state.migrated = report.migrated

@@ -231,11 +231,11 @@ def pe_aware_grids(tile: Tile, config: AcceleratorConfig) -> List[ChannelGrid]:
     elem_pe = elem_gpe % ppc
     elem_channel = elem_gpe // ppc
 
-    # Elements arrive channel-sorted (gpe-major), so the whole tile fills
-    # one buffer.  A data list ends at its last non-zero; the trailing
-    # rotation stalls of the final window carry no information.
+    # The whole tile fills one buffer.  A data list ends at its last
+    # non-zero; the trailing rotation stalls of the final window carry no
+    # information.
     return ChannelGrid.tile_grids(
-        channels_n, ppc, elem_channel, elem_cycle, elem_pe, elem_row,
+        channels_n, ppc, elem_channel, elem_cycle * ppc + elem_pe, elem_row,
         cols[order], values[order], elem_channel, elem_pe,
     )
 

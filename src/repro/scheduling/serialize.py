@@ -221,12 +221,11 @@ def deserialize_schedule(
         offset = end
 
         # Every channel image of the tile decodes at once; the flat word
-        # index is ``(channel * length + cycle) * pes + pe``, so the
-        # elements come out channel-sorted.
+        # index is ``(channel * length + cycle) * pes + pe``.
         flat = np.flatnonzero(words != _STALL_WORD)
         slot_words = words[flat]
-        channel_ids, slot = np.divmod(flat, length * pes)
-        cycles, pe_ids = np.divmod(slot, pes)
+        channel_ids, slots = np.divmod(flat, length * pes)
+        pe_ids = slots % pes
         values = (
             (slot_words >> np.uint64(_VALUE_SHIFT))
             .astype(np.uint32)
@@ -249,7 +248,7 @@ def deserialize_schedule(
         origin_pes = np.where(pvt, pe_ids, pe_src)
         migrated = int((~pvt).sum())
         grids = ChannelGrid.tile_grids(
-            channels, pes, channel_ids, cycles, pe_ids, rows, cols, values,
+            channels, pes, channel_ids, slots, rows, cols, values,
             origin_channels, origin_pes, length=length,
         )
         tiles.append(

@@ -39,15 +39,6 @@ class MigrationReport:
         # Counter.update adds counts, so overlapping pairs accumulate.
         self.pair_counts.update(other.pair_counts)
 
-    def copy(self) -> "MigrationReport":
-        """An independent snapshot (the pass-artifact cache stores one)."""
-        return MigrationReport(
-            migrated=self.migrated,
-            own_issues=self.own_issues,
-            raw_skips=self.raw_skips,
-            pair_counts=Counter(self.pair_counts),
-        )
-
     @property
     def migration_fraction(self) -> float:
         total = self.migrated + self.own_issues

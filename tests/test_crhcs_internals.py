@@ -43,7 +43,7 @@ class TestMigrateGrids:
         grids[0].ensure_length(3)
         # Donor channel 1 has one own element (row 2 → ch1, pe0).
         grids[1].place(0, 0, element(2, 1, 0))
-        migrate_grids(grids, CFG, migration_span=1)
+        grids = migrate_grids(grids, CFG, migration_span=1)
         assert grids[0].slot(0, 0) is not None
         assert grids[0].slot(0, 0).origin_channel == 1
         # Donor grid shrank to nothing.
@@ -55,7 +55,7 @@ class TestMigrateGrids:
         # Donor has two own elements of different rows at cycles 0 and 5.
         grids[1].place(0, 0, element(2, 1, 0, value=10.0))
         grids[1].place(5, 0, element(8, 1, 0, value=99.0))
-        migrate_grids(grids, CFG, migration_span=1)
+        grids = migrate_grids(grids, CFG, migration_span=1)
         taken = [
             grids[0].slot(0, pe)
             for pe in range(CFG.pes_per_channel)
@@ -75,11 +75,13 @@ class TestMigrateGrids:
         for cycle in (0, 3, 6):
             grids[1].place(cycle, 0, element(4, 1, 0))
         report = MigrationReport()
-        migrate_grids(grids, CFG, migration_span=1, report=report)
+        grids = migrate_grids(grids, CFG, migration_span=1, report=report)
         placements = sorted(
             (cycle, pe)
             for (cycle, pe), e in grids[0].occupied.items()
         )
+        # PE 1 takes the second copy at once; PE 0 waits out D = 3.
+        assert placements == [(0, 0), (0, 1), (3, 0)]
         by_pe = {}
         for cycle, pe in placements:
             by_pe.setdefault(pe, []).append(cycle)
@@ -92,7 +94,7 @@ class TestMigrateGrids:
         grids[0].ensure_length(1)
         grids[1].place(0, 0, element(4, 1, 0))
         grids[1].place(1, 0, element(4, 1, 0, value=2.0))
-        migrate_grids(grids, CFG, migration_span=1)
+        grids = migrate_grids(grids, CFG, migration_span=1)
         occupied = list(grids[0].occupied)
         # Both copies placed in cycle 0, different PEs (different ScUGs).
         assert sorted(occupied) == [(0, 0), (0, 1)]
@@ -103,7 +105,7 @@ class TestMigrateGrids:
         # received must never migrate again.
         grids[1].ensure_length(1)
         grids[2].place(0, 0, element(5, 2, 0))
-        migrate_grids(grids, CFG, migration_span=1)
+        grids = migrate_grids(grids, CFG, migration_span=1)
         # Element of channel 2 now lives in channel 1.
         assert any(
             e.origin_channel == 2
@@ -117,7 +119,7 @@ class TestMigrateGrids:
         grids = empty_grids()
         grids[0].place(0, 0, element(0, 0, 0))
         grids[0].ensure_length(4)
-        migrate_grids(grids, CFG, migration_span=1)
+        grids = migrate_grids(grids, CFG, migration_span=1)
         # Channel 0's donor (channel 1) is empty, so channel 0 receives
         # nothing — but the ring's last step (Fig. 5d) lets channel 2
         # take channel 0's own element, leaving a stall behind.
@@ -130,7 +132,7 @@ class TestMigrateGrids:
         grids = empty_grids()
         grids[0].place(0, 0, element(0, 0, 0))
         grids[0].ensure_length(9)
-        migrate_grids(grids, CFG, migration_span=0)
+        grids = migrate_grids(grids, CFG, migration_span=0)
         assert grids[0].length == 1
 
     def test_report_pair_counts(self):

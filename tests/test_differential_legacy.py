@@ -2,6 +2,8 @@
 builders, slot-for-slot, over a seeded mini-corpus, hypothesis-drawn
 small configurations and the 128 x 128 all-migrate regime."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -81,6 +83,16 @@ def test_crhcs_matches_legacy_wider_span():
         _assert_schedules_identical(fast, slow)
 
 
+def _grid_contents(grids):
+    """Every field a grid holds, plane bytes included."""
+    return [
+        (g.channel_id, g.length, g.capacity, g.element_count,
+         [plane.tobytes() for plane in (g._value, g._row, g._col,
+                                        g._origin_channel, g._origin_pe)])
+        for g in grids
+    ]
+
+
 def _assert_reports_identical(fast, slow):
     assert (fast.migrated, fast.own_issues, fast.raw_skips) == (
         slow.migrated, slow.own_issues, slow.raw_skips
@@ -120,14 +132,16 @@ def test_migrate_grids_matches_legacy_walk(case):
     """Every tile, report field and slot agrees with the legacy walk."""
     config, matrix, span, steal_tries = case
     for tile in tile_matrix(matrix, config):
-        fast_grids = pe_aware_grids(tile, config)
-        slow_grids = [grid.clone() for grid in fast_grids]
+        built = pe_aware_grids(tile, config)
+        before = _grid_contents(built)
+        slow_grids = copy.deepcopy(built)
         fast_report = MigrationReport()
         slow_report = MigrationReport()
-        migrate_grids(
-            fast_grids, config, span,
+        fast_grids = migrate_grids(
+            built, config, span,
             steal_tries=steal_tries, report=fast_report,
         )
+        assert _grid_contents(built) == before  # the input is untouched
         legacy_migrate_grids(
             slow_grids, config, span,
             steal_tries=steal_tries, report=slow_report,
@@ -142,13 +156,13 @@ def _migrate_against_legacy(config, matrix, span, steal_tries):
     """Run both walks on every tile; return the holes the walk jumped."""
     jumped = 0
     for tile in tile_matrix(matrix, config):
-        fast_grids = pe_aware_grids(tile, config)
-        slow_grids = [grid.clone() for grid in fast_grids]
+        built = pe_aware_grids(tile, config)
+        slow_grids = copy.deepcopy(built)
         fast_report = MigrationReport()
         slow_report = MigrationReport()
         with telemetry.capture() as cap:
-            migrate_grids(
-                fast_grids, config, span,
+            fast_grids = migrate_grids(
+                built, config, span,
                 steal_tries=steal_tries, report=fast_report,
             )
         jumped += sum(

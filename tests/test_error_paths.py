@@ -1,5 +1,6 @@
 """Error-path and cross-module consistency coverage."""
 
+import copy
 import logging
 
 import numpy as np
@@ -50,16 +51,20 @@ class TestEngineErrorPaths:
     def test_corrupted_schedule_detected_by_verify(self, small_chason,
                                                    tiny_matrix, rng):
         schedule = schedule_crhcs(tiny_matrix, small_chason)
-        # Corrupt one value in place.
-        grid = next(
-            g for t in schedule.tiles for g in t.grids if g.occupied
+        # Corrupt one value of a writable copy of a grid (the schedule's
+        # own grids are read-only) and put the copy in the tile.
+        tile, index = next(
+            (t, i) for t in schedule.tiles
+            for i, g in enumerate(t.grids) if g.occupied
         )
+        grid = copy.deepcopy(tile.grids[index])
         key = next(iter(grid.occupied))
         element = grid.occupied[key]
         grid.occupied[key] = ScheduledElement(
             element.row, element.col, element.value + 1.0,
             element.origin_channel, element.origin_pe,
         )
+        tile.grids[index] = grid
         x = rng.normal(size=tiny_matrix.n_cols).astype(np.float32)
         execution = execute_schedule(schedule, x)
         assert not execution.verify(tiny_matrix.matvec(x))

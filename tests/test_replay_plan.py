@@ -10,6 +10,7 @@ so they are held to an offline loop driven by the walk as well.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 
 import numpy as np
@@ -185,10 +186,14 @@ class TestFaultParity:
                 yield grid, (cycle, pe), element
 
     def _edit(self, tile, nth=0, **changes):
+        """Corrupt one slot of a writable copy of its grid (a schedule's
+        grids are read-only) and put the copy in the tile."""
         grid, key, element = list(self._slots(tile))[nth]
-        grid.occupied[key] = element._replace(
+        corrupt = copy.deepcopy(grid)
+        corrupt.occupied[key] = element._replace(
             **{k: f(element) for k, f in changes.items()}
         )
+        tile.grids[tile.grids.index(grid)] = corrupt
 
     def _raises(self, schedule, expected, config=None):
         assert _assert_same_outcome(schedule, _x(300), config) is expected

@@ -1,5 +1,7 @@
 """ChannelGrid / Schedule data structures and their invariants."""
 
+import copy
+
 import pytest
 
 from repro.errors import RawHazardError, SchedulingError
@@ -11,6 +13,7 @@ from repro.scheduling.base import (
     pe_for_row,
 )
 from repro.scheduling.crhcs import migrate_grids
+from repro.scheduling.legacy import legacy_migrate_grids
 from repro.scheduling.pe_aware import pe_aware_grids
 from repro.scheduling.window import tile_matrix
 
@@ -115,8 +118,8 @@ def _element_arrays(grid):
 
 
 class TestTileGrids:
-    """Grids built by :meth:`ChannelGrid.tile_grids` share one buffer per
-    field, each through its own disjoint views."""
+    """Grids built by :meth:`ChannelGrid.tile_grids` share one read-only
+    buffer per field, each through its own disjoint views."""
 
     @pytest.fixture
     def tile(self, paper_chason):
@@ -137,34 +140,49 @@ class TestTileGrids:
             for index in changed:
                 before[index] = _element_arrays(grids[index])
 
-        # Donate the last own element of grid 1 into the last row of
-        # grid 0, the row that borders grid 1 in the buffer.
-        donor, dest = grids[1], grids[0]
-        slots, _rows = donor.own_slots()
-        pes = dest.pes
-        last_row = dest.capacity - 1
+        # A tile-built grid is a value: writes into its planes raise.
+        pes = grids[0].pes
+        frozen = grids[1]
+        cycle, pe, kept = next(frozen.iter_elements())
         hole = next(
-            last_row * pes + pe for pe in range(pes)
-            if dest.slot(last_row, pe) is None
+            p for p in range(pes) if frozen.slot(frozen.capacity - 1, p)
+            is None
         )
-        donor.donate([int(slots[-1])], dest, [hole])
-        assert dest.slot(last_row, hole % pes) is not None
-        check_untouched(0, 1)
+        with pytest.raises(ValueError):
+            frozen.set_slot(frozen.capacity - 1, hole, element(7, channel=1))
+        with pytest.raises(ValueError):
+            frozen.clear_slot(cycle, pe)
+        with pytest.raises(ValueError):
+            frozen.occupied[(cycle, pe)] = kept._replace(value=2.0)
+        assert frozen.element_count == len(before[1][0])
+        check_untouched()
+
+        # The aliasing checks run on the same views made writable.
+        for grid in grids:
+            for plane in (grid._value, grid._row, grid._col,
+                          grid._origin_channel, grid._origin_pe):
+                plane.base.flags.writeable = True
+                plane.flags.writeable = True
 
         # Clear and rewrite every slot of the first and last rows of
-        # grid 2.
-        target = grids[2]
-        for cycle in (0, target.capacity - 1):
-            for pe in range(pes):
-                kept = target.slot(cycle, pe)
-                if kept is not None:
-                    target.clear_slot(cycle, pe)
-                    check_untouched(2)
-                target.set_slot(cycle, pe, element(7, channel=2, pe=pe))
-                check_untouched(2)
-                if kept is not None:
-                    target.set_slot(cycle, pe, kept)
-                    check_untouched(2)
+        # grid 2, then of the last row of grid 0, the row that borders
+        # grid 1 in the buffer.
+        for index, cycles in ((2, (0, grids[2].capacity - 1)),
+                              (0, (grids[0].capacity - 1,))):
+            target = grids[index]
+            for cycle in cycles:
+                for pe in range(pes):
+                    kept = target.slot(cycle, pe)
+                    if kept is not None:
+                        target.clear_slot(cycle, pe)
+                        check_untouched(index)
+                    target.set_slot(
+                        cycle, pe, element(7, channel=index, pe=pe)
+                    )
+                    check_untouched(index)
+                    if kept is not None:
+                        target.set_slot(cycle, pe, kept)
+                        check_untouched(index)
 
         # Growth reallocates grid 3's own planes, keeping its elements.
         grown = grids[3]
@@ -176,19 +194,22 @@ class TestTileGrids:
         grown.set_slot(old_capacity + 2, 0, element(9, channel=3))
         check_untouched(3)
 
-    def test_clone_of_a_migrated_grid_keeps_only_live_rows(
-        self, tile, paper_chason
-    ):
-        grids = pe_aware_grids(tile, paper_chason)
-        migrate_grids(grids, paper_chason, 1)
-        for grid in grids:
-            copy = grid.clone()
-            assert grid.capacity > grid.length  # pre-migration storage
-            assert copy.capacity == copy.length == grid.length
-            assert copy.element_count == grid.element_count
-            assert _element_arrays(copy) == _element_arrays(grid)
-            copy.trim_trailing_stalls()
-            assert copy.length == grid.length
+    def test_migrated_grids_keep_only_live_rows(self, tile, paper_chason):
+        built = pe_aware_grids(tile, paper_chason)
+        reference = copy.deepcopy(built)
+        legacy_migrate_grids(reference, paper_chason, 1)
+        grids = migrate_grids(built, paper_chason, 1)
+        for start, grid, expected in zip(built, grids, reference):
+            assert start.capacity > grid.length  # pre-migration storage
+            assert grid.capacity == grid.length == expected.length
+            cycles = grid.element_arrays()[0]
+            assert grid.length == (int(cycles[-1]) + 1 if cycles.size else 0)
+            assert grid.element_count == expected.element_count
+            assert _element_arrays(grid) == _element_arrays(expected)
+            assert not grid._row.flags.writeable
+            trimmed = copy.copy(grid)
+            trimmed.trim_trailing_stalls()
+            assert trimmed.length == grid.length
 
 
 class TestScheduleInvariants:
