@@ -89,12 +89,6 @@ HOT_KEY_THRESHOLD = 3
 #: replication should cost cache only when it buys queueing time.
 _SPREAD_SLACK = 2
 
-#: Poll interval while waiting on outstanding tickets.  Short, because
-#: it floors per-request latency on warm cache hits (sub-millisecond
-#: executions) — the router multiplexes tickets and the hedge timer, so
-#: it cannot just block on one ticket's event.
-_WAIT_POLL_S = 0.0005
-
 #: Per-attempt budget: how long an attempt (primary + hedge) may stay
 #: outstanding before both devices are charged a failure and the router
 #: moves on.  ``max(hedge * factor, floor)`` — the floor keeps genuinely
@@ -694,26 +688,35 @@ class Cluster:
     ) -> Tuple[Optional[SpMVResponse], str, bool]:
         """One routed attempt: submit, hedge if slow, classify.
 
-        Returns ``(response, device_id, hedged)``; ``response`` is
-        ``None`` when the attempt timed out with nothing usable (every
-        outstanding device is charged a failure).
+        The router sleeps on one event that each of the attempt's tickets
+        sets when it resolves, and otherwise wakes only at the next
+        deadline: the hedge time until the hedge decision is made, then
+        the attempt budget.  Returns ``(response, device_id, hedged)``;
+        ``response`` is ``None`` when the attempt timed out with nothing
+        usable (every outstanding device is charged a failure), and
+        ``hedged`` says whether a duplicate was submitted to a replica.
         """
-        outstanding: List[Tuple[DeviceHandle, Ticket, float]] = [
-            (device, device.submit(request, described), time.monotonic())
-        ]
+        answered = threading.Event()
+        ticket = device.submit(request, described)
+        ticket.add_done_callback(answered.set)
+        outstanding: List[Tuple[DeviceHandle, Ticket]] = [(device, ticket)]
+        now = time.monotonic()
         budget = min(
             deadline,
-            time.monotonic() + max(
+            now + max(
                 self.hedge_s * _ATTEMPT_BUDGET_FACTOR,
                 _ATTEMPT_BUDGET_FLOOR_S,
             ),
         )
+        # When to decide on a hedge; ``None`` once decided.
+        hedge_at: Optional[float] = now + self.hedge_s
         hedged = False
-        hedge_at = time.monotonic() + self.hedge_s
         while True:
-            now = time.monotonic()
+            # Clear before checking: a ticket that resolves after its
+            # check sets the event again, so the wait below returns.
+            answered.clear()
             for entry in list(outstanding):
-                holder, ticket, submitted = entry
+                holder, ticket = entry
                 if not ticket.done():
                     continue
                 response = ticket.result(timeout=0)
@@ -733,9 +736,11 @@ class Cluster:
                 if response.ok:
                     holder.health.record_success(response.total_s)
                 return response, holder.device_id, hedged
+            now = time.monotonic()
             if not outstanding or now >= budget:
                 break
-            if not hedged and now >= hedge_at:
+            if hedge_at is not None and now >= hedge_at:
+                hedge_at = None
                 replica = self._pick(fingerprint, tried)
                 if replica is not None:
                     with t.span("cluster.hedge",
@@ -754,15 +759,16 @@ class Cluster:
                                 )
                         self._bump("hedges")
                         tried.append(replica.device_id)
-                        outstanding.append((
-                            replica, replica.submit(request, described),
-                            time.monotonic(),
-                        ))
-                hedged = True
-            time.sleep(_WAIT_POLL_S)
+                        ticket = replica.submit(request, described)
+                        ticket.add_done_callback(answered.set)
+                        outstanding.append((replica, ticket))
+                    hedged = True
+            answered.wait(
+                (budget if hedge_at is None else min(hedge_at, budget)) - now
+            )
         # Nothing answered inside the budget: every device still
         # holding the request is charged one failure (stall detection).
-        for holder, _ticket, _submitted in outstanding:
+        for holder, _ticket in outstanding:
             self._record_failure(holder, crashed=False)
         return None, "", hedged
 

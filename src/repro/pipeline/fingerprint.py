@@ -5,7 +5,9 @@ inputs that determine an artifact's contents.  The rules fix the cache-key
 bug class at the root:
 
 * **configs** contribute every dataclass field, recursively (a clock or
-  window change is a different fingerprint, not a stale hit);
+  window change is a different fingerprint, not a stale hit); a config
+  is a frozen value, so each config object is digested once and keeps
+  its digest (see :func:`fingerprint_config`);
 * **schedulers** contribute their registry *version tag* and, for
   pass-based schemes, the per-pass signature chain, so a revised
   algorithm — or a single revised pass — can never be served a previous

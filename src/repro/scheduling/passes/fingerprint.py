@@ -79,14 +79,33 @@ def fingerprint(*parts: Any) -> str:
     return h.hexdigest()
 
 
+#: Attribute under which a frozen config keeps its own digest.
+_CONFIG_DIGEST = "_config_fingerprint"
+
+
 def fingerprint_config(config: Any) -> str:
     """Fingerprint of an :class:`AcceleratorConfig` *by contents*.
 
     Covers every field recursively (including the nested
     :class:`HBMConfig`), plus the concrete type name so e.g. a
     ``ChasonConfig`` and a field-identical ``SerpensConfig`` differ.
+
+    A frozen dataclass is a value, so each config object is digested
+    once and keeps the digest on itself, outside its fields: the memo is
+    exact (keyed on the object, never on ``==``, under which a
+    ``frequency_mhz=301`` config equals a ``301.0`` one), lives exactly
+    as long as the config, and a race between threads only computes
+    the same digest twice.
     """
-    return fingerprint("config", config)
+    digest = getattr(config, "__dict__", {}).get(_CONFIG_DIGEST)
+    if digest is None:
+        digest = fingerprint("config", config)
+        params = getattr(type(config), "__dataclass_params__", None)
+        if params is not None and params.frozen and hasattr(
+            config, "__dict__"
+        ):
+            object.__setattr__(config, _CONFIG_DIGEST, digest)
+    return digest
 
 
 def fingerprint_tile(tile: Any, config_fingerprint: str) -> str:

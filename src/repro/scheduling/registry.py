@@ -36,9 +36,17 @@ from typing import Callable, Dict, Optional, Tuple
 from ..config import AcceleratorConfig
 from ..errors import ConfigError
 from .passes import validate_pass_name
+from .passes.fingerprint import fingerprint_config
 
 #: name → spec; the *only* scheme dispatch table in the code base.
 _REGISTRY: Dict[str, "SchedulerSpec"] = {}
+
+#: Pass signatures one spec keeps before it empties its memo.
+_SIGNATURE_MEMO = 64
+
+#: Keyword-argument types whose ``repr`` pins their canonical encoding
+#: (``1``, ``1.0``, ``True`` and ``"1"`` all read differently).
+_SCALARS = (type(None), bool, int, float, str)
 
 #: Modules whose import registers the built-in schemes.
 _BUILTIN_MODULES = (
@@ -96,6 +104,8 @@ class SchedulerSpec:
             raise ConfigError(
                 f"scheme {self.name!r} declares passes but no plan"
             )
+        # Outside the fields, so equality and ``replace`` never see it.
+        object.__setattr__(self, "_signatures", {})
 
     def pass_plan(self, config: AcceleratorConfig, scheduler_kwargs: dict):
         """The instantiated pass list for one (config, kwargs) pair.
@@ -106,21 +116,38 @@ class SchedulerSpec:
         """
         if self.plan is None:
             return None
-        clean = {
-            k: v
-            for k, v in scheduler_kwargs.items()
-            if k != "report" and not k.startswith("_")
-        }
-        return self.plan(config, clean)
+        return self.plan(config, _plan_kwargs(scheduler_kwargs))
 
     def pass_signature(
         self, config: AcceleratorConfig, scheduler_kwargs: dict
     ) -> Tuple[Tuple[object, ...], ...]:
-        """Per-pass digest signatures — folded into schedule cache keys."""
-        plan = self.pass_plan(config, scheduler_kwargs)
-        if plan is None:
+        """Per-pass digest signatures — folded into schedule cache keys.
+
+        A plan reads only the config and the kwargs :meth:`pass_plan`
+        hands it, so the spec memoizes each signature on exactly those:
+        the config's digest and the kwargs' ``repr`` (a kwarg that is
+        not a plain scalar skips the memo).  The memo holds at most
+        :data:`_SIGNATURE_MEMO` signatures and is emptied when full.
+        """
+        if self.plan is None:
             return ()
-        return tuple(p.signature() for p in plan)
+        clean = _plan_kwargs(scheduler_kwargs)
+        if all(type(value) in _SCALARS for value in clean.values()):
+            key = (
+                fingerprint_config(config),
+                tuple((k, repr(clean[k])) for k in sorted(clean)),
+            )
+        else:
+            key = None
+        memo = self.__dict__["_signatures"]
+        signature = memo.get(key)
+        if signature is None:
+            signature = tuple(p.signature() for p in self.plan(config, clean))
+            if key is not None:
+                if len(memo) >= _SIGNATURE_MEMO:
+                    memo.clear()
+                memo[key] = signature
+        return signature
 
     @property
     def clock_mhz(self) -> float:
@@ -132,6 +159,15 @@ class SchedulerSpec:
         from ..power.devices import measured_power
 
         return measured_power(self.power_key)
+
+
+def _plan_kwargs(scheduler_kwargs: dict) -> dict:
+    """The kwargs a plan sees: no ``report``, nothing ``_``-prefixed."""
+    return {
+        k: v
+        for k, v in scheduler_kwargs.items()
+        if k != "report" and not k.startswith("_")
+    }
 
 
 def register(spec: SchedulerSpec) -> SchedulerSpec:
@@ -185,8 +221,13 @@ def _ensure_builtins() -> None:
 
 def get_scheme(name: str) -> SchedulerSpec:
     """Resolve a scheme name, with a did-you-mean on typos."""
-    _ensure_builtins()
     spec = _REGISTRY.get(name)
+    if spec is None:
+        # Import the built-ins only on a miss: every routed request
+        # resolves its scheme three times, and five imports cost far
+        # more than the lookup itself.
+        _ensure_builtins()
+        spec = _REGISTRY.get(name)
     if spec is not None:
         return spec
     known = sorted(_REGISTRY)

@@ -46,7 +46,7 @@ import itertools
 import os
 import threading
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .. import telemetry
 from ..errors import ReproError, ServingError
@@ -147,7 +147,7 @@ class _Entry:
         "request", "seq", "priority", "spec", "config", "group",
         "work_fp", "submitted_at", "deadline_at", "followers", "done",
         "event", "response", "trace", "owns_root", "tenant", "slo_class",
-        "described",
+        "described", "hooks",
     )
 
     def __init__(self, request: SpMVRequest, seq: int, spec, config,
@@ -185,6 +185,9 @@ class _Entry:
         self.followers: List["_Entry"] = []
         self.done = False
         self.event = threading.Event()
+        #: Completion hooks :meth:`ServingEngine._resolve` runs after
+        #: setting :attr:`event` (see :meth:`Ticket.add_done_callback`).
+        self.hooks: List[Callable[[], None]] = []
         self.response: Optional[SpMVResponse] = None
 
     def expired_at(self, now: float) -> bool:
@@ -207,6 +210,24 @@ class Ticket:
 
     def done(self) -> bool:
         return self._response is not None or self._entry.event.is_set()
+
+    def add_done_callback(self, hook: Callable[[], None]) -> None:
+        """Call ``hook()`` once the response is available.
+
+        The thread that resolves the request calls it right after
+        :meth:`done` turns true; a hook added to a ticket that is
+        already done (answered at the door, or resolved before the hook
+        arrives) is called at once, on the caller's thread.  A race
+        between adding and resolving may call it twice, never zero
+        times, so a hook must be idempotent, quick and must not raise.
+        """
+        if self._response is None:
+            # Append before testing the event: a resolution that has
+            # not set it yet will see the hook in the list.
+            self._entry.hooks.append(hook)
+            if not self._entry.event.is_set():
+                return
+        hook()
 
     def result(self, timeout: Optional[float] = None) -> SpMVResponse:
         """Block until the response is available (or raise on timeout)."""
@@ -720,7 +741,8 @@ class ServingEngine:
     def _resolve(self, entry: _Entry, response: SpMVResponse,
                  shed_reason: str = "") -> SpMVResponse:
         """Answer one admitted entry — the only place its outcome is
-        counted and its outcome telemetry emitted.
+        counted, its outcome telemetry emitted and its completion hooks
+        called.
 
         ``shed_reason`` labels a shed leader's ``serving.shed`` counter.
         """
@@ -774,6 +796,8 @@ class ServingEngine:
                     coalesced=response.coalesced,
                 )
         entry.event.set()
+        for hook in tuple(entry.hooks):
+            hook()
         return response
 
     def _fulfill(self, entry: _Entry, response: SpMVResponse,

@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import time
 
 import numpy as np
 import pytest
@@ -46,6 +47,7 @@ from repro.matrices.generators import power_law_rows, uniform_random
 from repro.pipeline.runner import PipelineRunner
 from repro.scheduling.registry import get_scheme
 from repro.serving import SpMVRequest
+from repro.serving.engine import Ticket
 from repro.serving.request import STATUS_ERROR
 from repro.serving.slo import latency_percentiles
 from repro.telemetry.summarize import (
@@ -75,6 +77,21 @@ def serial_report(request: SpMVRequest):
     spec = get_scheme(request.scheme)
     config = request.resolve_config(spec)
     return PipelineRunner().analyze(request.source, spec, config).report
+
+
+@pytest.fixture
+def ticket_checks(monkeypatch):
+    """The router's ticket checks: each pass of its wait loop calls
+    ``Ticket.done`` once per outstanding ticket."""
+    calls = []
+    real = Ticket.done
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Ticket, "done", counting)
+    return calls
 
 
 def request_with_primary(cluster: Cluster, device_id: str) -> SpMVRequest:
@@ -410,6 +427,80 @@ class TestMatrixHashes:
         assert answers[0] != answers[1] and answers[2] == answers[0]
 
 
+class TestRouterWakeups:
+    def test_an_unhedged_request_is_checked_at_most_twice(
+        self, ticket_checks
+    ):
+        """Once when submitted, once when its answer wakes the router:
+        the router sleeps on the tickets' completion hook, not a clock."""
+        with Cluster(devices=2, fault_plan=FaultPlan(),
+                     hedge_ms=60_000) as cluster:
+            for device in cluster.devices.values():
+                device.engine.runner = _Staller(0.05)
+            ticket_checks.clear()
+            result = cluster.execute(SpMVRequest(MATRICES[0]), timeout=30.0)
+            checks = len(ticket_checks)
+        assert result.ok and not result.hedged
+        assert checks <= 2
+
+
+class TestConfigKeys:
+    """How often default-config requests through a 3-device cluster
+    encode their config and resolve their scheme's pass plan: the config
+    at most once in total (the digest stays on the config object), the
+    plan only to build a schedule (its signature is memoized per spec),
+    and the scheme lookups import no module."""
+
+    def test_config_encoded_once_plan_resolved_only_for_builds(
+        self, monkeypatch
+    ):
+        import importlib
+
+        from repro.pipeline.stages import ScheduleStage
+        from repro.scheduling import crhcs, registry
+
+        # The module, not the function the package re-exports by its name.
+        fingerprints = importlib.import_module(
+            "repro.scheduling.passes.fingerprint"
+        )
+        encodes, resolves, builds, imports = [], [], [], []
+        real_fingerprint = fingerprints.fingerprint
+        real_resolve = crhcs.resolve_passes
+        real_run = ScheduleStage.run
+
+        def counting_fingerprint(*parts):
+            if parts[:1] == ("config",):
+                encodes.append(parts)
+            return real_fingerprint(*parts)
+
+        def counting_resolve(*args, **kwargs):
+            resolves.append(args)
+            return real_resolve(*args, **kwargs)
+
+        def counting_run(self, *args, **kwargs):
+            builds.append(args)
+            return real_run(self, *args, **kwargs)
+
+        monkeypatch.setattr(fingerprints, "fingerprint",
+                            counting_fingerprint)
+        monkeypatch.setattr(crhcs, "resolve_passes", counting_resolve)
+        monkeypatch.setattr(ScheduleStage, "run", counting_run)
+        get_scheme("crhcs")
+        monkeypatch.setattr(registry, "_ensure_builtins",
+                            lambda: imports.append(1))
+        with Cluster(devices=3, fidelity="exact", hedge_ms=60_000,
+                     fault_plan=FaultPlan()) as cluster:
+            for index in range(12):
+                request = SpMVRequest(MATRICES[index % 3])
+                assert cluster.execute(request).ok
+        assert imports == []
+        assert len(encodes) <= 1
+        assert len(builds) == 3
+        # One resolution per build, plus the signature's first one when
+        # no earlier request has memoized it.
+        assert len(builds) <= len(resolves) <= len(builds) + 1
+
+
 class TestHotSetBuilds:
     def test_one_off_traffic_does_not_flush_the_hot_set(self, monkeypatch):
         """perfbench ``oneshot``'s mix, small: one client, three
@@ -491,17 +582,62 @@ class TestFailover:
         assert result.device == "dev1"
         assert result.failover and result.attempts >= 2
 
-    def test_stalled_primary_is_hedged_to_a_replica(self):
+    def test_stalled_primary_is_hedged_to_a_replica(self, ticket_checks):
         with Cluster(devices=2, fault_plan=FaultPlan(),
                      hedge_ms=40) as cluster:
             request = request_with_primary(cluster, "dev0")
             # Stall dev0 from now on; the hedge timer must rescue the
             # request via dev1 long before the stall clears.
             cluster.devices["dev0"].engine.runner = _Staller(0.75)
+            ticket_checks.clear()
             result = cluster.execute(request, timeout=30.0)
+            checks = len(ticket_checks)
         assert result.ok
         assert result.hedged
         assert result.device == "dev1"
+        # The router wakes at the hedge time and on the answer, not on
+        # a clock.
+        assert checks <= 8
+
+    def test_a_lone_device_is_never_hedged(self):
+        """``hedged`` means a duplicate was launched: with no replica to
+        take it, a request slower than the hedge time is not hedged."""
+        with telemetry.capture() as cap:
+            with Cluster(devices=1, fault_plan=FaultPlan(),
+                         hedge_ms=5) as cluster:
+                cluster.devices["dev0"].engine.runner = _Staller(0.05)
+                result = cluster.execute(SpMVRequest(MATRICES[0]),
+                                         timeout=30.0)
+                stats = cluster.stats
+        assert result.ok and result.device == "dev0"
+        assert not result.hedged
+        assert json.loads(result.to_json())["hedged"] is False
+        assert stats["hedges"] == 0
+        roots = [r for r in cap.records
+                 if r["kind"] == "span" and r["name"] == "cluster.request"]
+        assert [r["attrs"]["hedged"] for r in roots] == [False]
+
+    def test_an_attempt_ends_at_its_budget(self):
+        """Both devices stall past the request's 0.2 s timeout, which
+        caps the attempt budget: the router answers the structured error
+        no earlier than 0.2 s and within 0.1 s of it, after hedging, and
+        charges each device exactly one failure."""
+        with Cluster(devices=2, fault_plan=FaultPlan(),
+                     hedge_ms=20) as cluster:
+            for device in cluster.devices.values():
+                device.engine.runner = _Staller(0.6)
+            started = time.monotonic()
+            result = cluster.execute(SpMVRequest(MATRICES[0]), timeout=0.2)
+            elapsed = time.monotonic() - started
+            failures = {device_id: device.health.failures
+                        for device_id, device in cluster.devices.items()}
+        assert result.response.status == STATUS_ERROR
+        assert result.response.detail.startswith(
+            "no device answered within 0.2s"
+        )
+        assert result.hedged and result.attempts == 1
+        assert 0.2 <= elapsed <= 0.3
+        assert failures == {"dev0": 1, "dev1": 1}
 
     def test_remove_device_drains_and_redistributes(self):
         with Cluster(devices=2, fault_plan=FaultPlan()) as cluster:

@@ -248,6 +248,64 @@ class TestFingerprints:
             dataclasses.replace(DEFAULT_SERPENS)
         ) == base
 
+    @pytest.mark.parametrize("first", ["default", "replaced"])
+    def test_config_digest_is_kept_per_object_not_per_value(self, first):
+        """``frequency_mhz=301`` equals the default's 301.0 and hashes
+        the same, yet digests differently: whichever is fingerprinted
+        first, each config object keeps its own digest."""
+        default = dataclasses.replace(DEFAULT_CHASON)
+        replaced = dataclasses.replace(DEFAULT_CHASON, frequency_mhz=301)
+        assert replaced == default and hash(replaced) == hash(default)
+        order = [default, replaced]
+        if first == "replaced":
+            order.reverse()
+        for config in order + order:
+            assert fingerprint_config(config) == fingerprint(
+                "config", config
+            )
+        assert fingerprint_config(replaced) != fingerprint_config(default)
+
+    def test_pass_signature_memo_tells_equal_kwargs_apart(self):
+        """``8``, ``8.0`` and ``True`` are equal keyword values with
+        different encodings: the memoized signature of each digests
+        exactly like a freshly planned one."""
+        spec = get_scheme("crhcs")
+        digests = []
+        for value in (8, 8.0, True, 8, 8.0, True):
+            kwargs = {"steal_tries": value}
+            planned = tuple(
+                p.signature() for p in spec.pass_plan(DEFAULT_CHASON, kwargs)
+            )
+            signature = spec.pass_signature(DEFAULT_CHASON, kwargs)
+            assert fingerprint(signature) == fingerprint(planned)
+            digests.append(fingerprint(signature))
+        assert len(set(digests)) == 3
+
+    def test_override_configs_leave_no_memo_behind(self):
+        """Every request with overrides resolves a new config object.
+        Keying three times the signature memo's size of them leaves
+        that memo at its bound, and no config outlives its request."""
+        import gc
+        import weakref
+
+        from repro.pipeline.stages import ScheduleStage
+        from repro.scheduling.registry import _SIGNATURE_MEMO
+        from repro.serving import SpMVRequest
+
+        spec = get_scheme("crhcs")
+        refs = []
+        for index in range(3 * _SIGNATURE_MEMO):
+            request = SpMVRequest(
+                "CollegeMsg", config_overrides={"frequency_mhz": 250.0 + index}
+            )
+            config = request.resolve_config(spec)
+            ScheduleStage.fingerprint_for("0" * 64, spec, config, {})
+            refs.append(weakref.ref(config))
+        del request, config
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+        assert len(spec.__dict__["_signatures"]) <= _SIGNATURE_MEMO
+
     def test_matrix_fingerprint_tracks_content(self):
         a = CORPUS[0].generate()
         b = CORPUS[1].generate()

@@ -365,6 +365,78 @@ class TestLifecycle:
             engine.shutdown()
 
 
+class TestTicketHooks:
+    """A ticket's completion hook, which wakes the cluster router: called
+    when the request resolves, or at once when the ticket is done."""
+
+    def test_a_hook_added_before_resolution_fires_at_resolution(self):
+        engine, gate = gated_engine(queue_capacity=4)
+        calls = []
+        try:
+            ticket = engine.submit(SpMVRequest(MATRICES[0]))
+            assert gate.started.wait(5.0)
+            ticket.add_done_callback(lambda: calls.append(ticket.done()))
+            assert calls == []
+            gate.release.set()
+            assert ticket.result(timeout=10.0).ok
+        finally:
+            gate.release.set()
+            engine.shutdown()
+        # Called once, by the worker, after ``done`` turned true.
+        assert calls == [True]
+
+    def test_a_hook_added_after_resolution_fires_at_once(self):
+        engine = ServingEngine(workers=1, fidelity="exact")
+        engine.start()
+        ticket = engine.submit(SpMVRequest(MATRICES[0]))
+        assert ticket.result(timeout=30.0).ok
+        engine.shutdown()
+        calls = []
+        ticket.add_done_callback(
+            lambda: calls.append(threading.current_thread())
+        )
+        assert calls == [threading.current_thread()]
+
+    def test_a_hook_on_a_ticket_rejected_at_the_door_fires_at_once(self):
+        engine = ServingEngine(workers=1)
+        engine.start()
+        engine.drain()
+        ticket = engine.submit(SpMVRequest(MATRICES[0]))
+        engine.shutdown()
+        assert ticket.result(timeout=0).status == STATUS_REJECTED
+        calls = []
+        ticket.add_done_callback(lambda: calls.append(1))
+        assert calls == [1]
+
+    def test_no_hook_is_lost_to_a_race_with_resolution(self):
+        """Hooks added while four workers resolve their tickets, with
+        the interpreter switching threads every few microseconds: each
+        fires once or twice, never zero times."""
+        import sys
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ServingEngine(workers=4, fidelity="estimate",
+                               audit_rate=0.0) as engine:
+                fired = []
+                for index in range(200):
+                    # Executed, coalesced or shed: every path resolves.
+                    ticket = engine.submit(
+                        SpMVRequest(MATRICES[index % len(MATRICES)])
+                    )
+                    calls = []
+                    ticket.add_done_callback(
+                        lambda calls=calls: calls.append(1)
+                    )
+                    fired.append((ticket, calls))
+                for ticket, _calls in fired:
+                    ticket.result(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(len(calls) in (1, 2) for _ticket, calls in fired)
+
+
 class TestOverload:
     def test_queue_full_and_displacement_answer_structurally(self):
         engine, gate = gated_engine(queue_capacity=1)
