@@ -118,19 +118,11 @@ class ScheduleStage:
         # output, so they stay out of the key.  For pass-based schemes
         # the per-pass signature chain folds in each pass's resolved
         # parameters and version: a single revised pass is a new key.
-        public = {
-            k: scheduler_kwargs[k]
-            for k in sorted(scheduler_kwargs)
-            if not k.startswith("_")
-        }
+        # The spec keeps that tail encoded; only the matrix is new.
         return fingerprint(
             "schedule",
             loaded_fingerprint,
-            spec.name,
-            spec.version,
-            fingerprint_config(config),
-            public,
-            spec.pass_signature(config, scheduler_kwargs),
+            tail=spec.schedule_key_tail(config, scheduler_kwargs),
         )
 
     def run(

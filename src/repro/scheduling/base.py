@@ -19,14 +19,19 @@ tests working unchanged.
 
 Like the §3.2 channel data lists the device only streams, a grid the
 schedulers hand on is a value: its planes are read-only, and a pass that
-moves elements returns new grids instead of editing them.
+moves elements returns new grids instead of editing them.  Between the
+PE-aware build and the CrHCS migration a tile travels as its element
+table (:class:`TileElements`), which lays itself out as grids only when
+something reads planes.
 """
 
 from __future__ import annotations
 
 from collections.abc import MutableMapping
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import (
+    Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -511,6 +516,68 @@ class ChannelGrid:
         ]
         own.reverse()
         return own
+
+
+@dataclass(frozen=True, eq=False)
+class TileElements:
+    """One tile's scheduled elements as a value: a build's handoff to
+    migration.
+
+    Seven parallel read-only arrays hold every element of the tile,
+    channel-major and in stream order within a channel (flat ``slots``,
+    ``cycle * pes + pe``, ascend per channel): ``channels`` (where each
+    element is scheduled), ``slots``, ``rows``, ``cols``, ``values``,
+    ``origin_channels`` and ``origin_pes`` — the arguments of
+    :meth:`ChannelGrid.tile_grids`.  ``lengths`` holds each channel's
+    list length, which may exceed its last occupied cycle + 1 (a padded
+    tail is stalls).  :meth:`grids` lays the table out and
+    :meth:`of_grids` reads grids back into one.
+    """
+
+    pes: int
+    lengths: Tuple[int, ...]
+    channels: np.ndarray
+    slots: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    origin_channels: np.ndarray
+    origin_pes: np.ndarray
+
+    def __post_init__(self) -> None:
+        for array in self._fields():
+            array.setflags(write=False)
+
+    def _fields(self) -> Tuple[np.ndarray, ...]:
+        return (
+            self.channels, self.slots, self.rows, self.cols, self.values,
+            self.origin_channels, self.origin_pes,
+        )
+
+    @classmethod
+    def of_grids(cls, grids: Sequence[ChannelGrid]) -> "TileElements":
+        """The table of ``grids`` (grid *c* is channel *c*)."""
+        live = [grid.flat_elements() for grid in grids]
+        slots, rows, cols, values, origin_channels, origin_pes = (
+            np.concatenate(field) for field in zip(*live)
+        )
+        channels = np.repeat(
+            np.arange(len(grids)), [fields[0].size for fields in live]
+        )
+        return cls(
+            grids[0].pes, tuple(grid.length for grid in grids), channels,
+            slots, rows, cols, values, origin_channels, origin_pes,
+        )
+
+    def grids(self) -> List[ChannelGrid]:
+        """Lay the table out: one read-only buffer per field
+        (:meth:`ChannelGrid.tile_grids`), each list ``lengths[c]`` long."""
+        grids = ChannelGrid.tile_grids(
+            len(self.lengths), self.pes, *self._fields()
+        )
+        for grid, length in zip(grids, self.lengths):
+            grid.length = length
+        return grids
 
 
 @dataclass

@@ -10,7 +10,9 @@ partial sum into the right ``URAM_sh`` bank (§3.2).
 Two modes are provided:
 
 ``mode="migrate"`` (default, the paper's algorithm, Figs. 4/5)
-    Start from the PE-aware grids.  Walk the channels in ring order; for
+    Start from the PE-aware schedule, handed over as its element table
+    (:func:`~repro.scheduling.pe_aware.pe_aware_elements`; no PE-aware
+    grid is laid out).  Walk the channels in ring order; for
     each channel fill its stalls — earliest first — with the donor
     channel's *own* elements, taken latest-cycle-first so the donor's list
     shrinks from the tail (the wholesale emptying of Fig. 5b/5c).  A
@@ -21,7 +23,7 @@ Two modes are provided:
     Reduction Unit.  Donated slots become stalls in the donor (Fig. 5d);
     trailing all-stall cycles are trimmed and all lists are resized to the
     longest one (§3.1).  The host runs this as one exact pass per tile
-    over flat per-channel lists (:func:`migrate_grids`), slot for slot
+    over flat per-channel lists (:func:`migrate_elements`), slot for slot
     the reference walk kept in :mod:`repro.scheduling.legacy`.
 
 ``mode="rebuild"``
@@ -45,14 +47,20 @@ from ..errors import SchedulingError
 from ..formats.coo import COOMatrix
 from ..formats.csr import CSRMatrix
 from .. import telemetry
-from .base import ChannelGrid, Schedule, ScheduledElement, TiledSchedule
+from .base import (
+    ChannelGrid,
+    Schedule,
+    ScheduledElement,
+    TiledSchedule,
+    TileElements,
+)
 from .passes import (
     PassManager,
     register_builder,
     register_migrator,
     resolve_passes,
 )
-from .pe_aware import group_rows_by_pe, pe_aware_grids
+from .pe_aware import group_rows_by_pe, pe_aware_elements
 from .registry import register_scheme
 # Re-exported from its historical location; the class itself lives in
 # stats so the pass layer can use it without importing this module.
@@ -89,7 +97,7 @@ def _resolve_span(
 
 
 # ---------------------------------------------------------------------------
-# mode="migrate": the paper's hole-filling migration on PE-aware grids.
+# mode="migrate": the paper's hole-filling migration of PE-aware lists.
 # ---------------------------------------------------------------------------
 
 
@@ -100,18 +108,33 @@ def migrate_grids(
     steal_tries: int = DEFAULT_STEAL_TRIES,
     report: Optional[MigrationReport] = None,
 ) -> List[ChannelGrid]:
+    """:func:`migrate_elements` over built grids (grid *c* is channel
+    *c*), read into their element table first; the grids are left as
+    they were."""
+    return migrate_elements(
+        TileElements.of_grids(grids), config, migration_span,
+        steal_tries=steal_tries, report=report,
+    )
+
+
+def migrate_elements(
+    elements: TileElements,
+    config: AcceleratorConfig,
+    migration_span: int,
+    steal_tries: int = DEFAULT_STEAL_TRIES,
+    report: Optional[MigrationReport] = None,
+) -> List[ChannelGrid]:
     """The CrHCS ring migration of one tile (§3.1, Fig. 5).
 
-    Reads ``grids`` (grid *c* is channel *c*) and returns the migrated
-    grids, each list ending at its last non-zero; the input grids are
-    left as they were.  One exact pass, in three phases:
+    Reads the tile's element table and returns the migrated grids, each
+    list ending at its last non-zero.  One exact pass, in three phases:
 
-    1. *Extract once.*  Read every channel's occupied slots in stream
-       order with their fields (:meth:`ChannelGrid.flat_elements`; a
-       slot is the flat id ``cycle * pes + pe``).  From them build each
-       channel's occupancy over the equalised length (one byte per slot)
-       and its own elements (slots and compact row ids, as plain Python
-       lists).
+    1. *Index.*  The table already holds every element channel-major in
+       stream order with its fields (a slot is the flat id ``cycle *
+       pes + pe``).  From it build each channel's occupancy over the
+       equalised length, the longest of the table's list lengths (one
+       byte per slot), and its own elements (slots and compact row ids,
+       as plain Python lists).
     2. *Walk.*  Each (destination, donor) step walks the destination's
        slots in stream order with a running PE index, passing occupied
        slots.  A donor's candidate queue is its own-element list read
@@ -137,29 +160,28 @@ def migrate_grids(
     """
     if steal_tries < 1:
         raise SchedulingError("steal_tries must be >= 1")
-    channels = len(grids)
+    channels = len(elements.lengths)
     pes = config.pes_per_channel
     distance = config.accumulator_latency
 
-    # Phase 1.  Every element of the tile, channel-major in stream order.
-    live = [grid.flat_elements() for grid in grids]
-    (elem_slots, elem_rows, elem_cols, elem_values, elem_origin_channels,
-     elem_origin_pes) = (np.concatenate(field) for field in zip(*live))
-    elem_channels = np.repeat(
-        np.arange(channels), [fields[0].size for fields in live]
-    )
+    # Phase 1.
+    elem_channels = elements.channels
+    elem_slots = elements.slots
+    elem_rows = elements.rows
+    elem_origin_channels = elements.origin_channels
     if report is not None:
         report.own_issues += elem_slots.size
     if migration_span == 0 or channels < 2:
         return ChannelGrid.tile_grids(
-            channels, pes, elem_channels, elem_slots, elem_rows, elem_cols,
-            elem_values, elem_origin_channels, elem_origin_pes,
+            channels, pes, elem_channels, elem_slots, elem_rows,
+            elements.cols, elements.values, elem_origin_channels,
+            elements.origin_pes,
         )
 
     # §3.1: the data lists are resized to the longest one; the padded
     # stalls of short (even empty) channels are exactly the slots
     # migration fills.  ``keys`` (channel-major flat slots) ascend.
-    longest = max(grid.length for grid in grids)
+    longest = max(elements.lengths)
     end = longest * pes
     keys = elem_channels * end + elem_slots
     occupied = np.zeros(channels * end, dtype=np.uint8)
@@ -318,11 +340,13 @@ def migrate_grids(
         moved = np.searchsorted(
             keys, np.repeat(donors, sizes) * end + np.concatenate(taken)
         )
+        elem_channels = elem_channels.copy()
+        elem_slots = elem_slots.copy()
         elem_channels[moved] = np.repeat(dests, sizes)
         elem_slots[moved] = np.concatenate(filled)
     return ChannelGrid.tile_grids(
-        channels, pes, elem_channels, elem_slots, elem_rows, elem_cols,
-        elem_values, elem_origin_channels, elem_origin_pes,
+        channels, pes, elem_channels, elem_slots, elem_rows, elements.cols,
+        elements.values, elem_origin_channels, elements.origin_pes,
     )
 
 
@@ -555,10 +579,10 @@ def rebuild_grids(
 # ---------------------------------------------------------------------------
 
 
-def _crhcs_migrator(grids, config, options, report):
+def _crhcs_migrator(elements, config, options, report):
     """Kernel adapter for the pass pipeline (``migrate:crhcs``)."""
-    return migrate_grids(
-        grids,
+    return migrate_elements(
+        elements,
         config,
         options["migration_span"],
         steal_tries=options.get("steal_tries", DEFAULT_STEAL_TRIES),
@@ -642,8 +666,8 @@ def schedule_crhcs_tile(
     span = _resolve_span(config, migration_span)
     tile_report = MigrationReport()
     if mode == "migrate":
-        grids = migrate_grids(
-            pe_aware_grids(tile, config), config, span,
+        grids = migrate_elements(
+            pe_aware_elements(tile, config), config, span,
             steal_tries=steal_tries, report=tile_report,
         )
         scheme = "crhcs"

@@ -1,14 +1,18 @@
 """The Schedule-IR and the :class:`SchedulePass` contract.
 
-The IR is deliberately thin: scheduling already has a good data
-structure — the array-backed :class:`~repro.scheduling.base.ChannelGrid`
-— so the IR wraps it with the *typed pass metadata* the manager needs:
-which tile a state belongs to, the grids produced so far, and the
-migration bookkeeping accumulated along the way.
+The IR is deliberately thin: scheduling already has good data
+structures — the array-backed :class:`~repro.scheduling.base.ChannelGrid`
+and a tile's element table,
+:class:`~repro.scheduling.base.TileElements` — so the IR wraps them with
+the *typed pass metadata* the manager needs: which tile a state belongs
+to, the tile's schedule so far, and the migration bookkeeping
+accumulated along the way.
 
-A pass transforms one :class:`TileState`: it replaces ``grids`` with the
-grids it produces and never writes a plane it received (grids are
-values, with read-only planes).  Tiles are mutually
+A pass transforms one :class:`TileState`: it replaces the tile's grids
+or element table with what it produces and never writes a plane it
+received (grids are values, with read-only planes).  The state converts
+between the two on demand and keeps what it converted, so a tile is
+laid out at most once between passes.  Tiles are mutually
 independent (a :class:`~repro.scheduling.base.TiledSchedule` concatenates
 them), which is what makes per-tile fingerprint chains — and hence
 incremental rescheduling — possible: an in-place matrix edit invalidates
@@ -41,18 +45,24 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from ..base import ChannelGrid
+from ..base import ChannelGrid, TileElements
 from ..stats import MigrationReport
 from ..window import Tile
 
 
 @dataclass
 class TileState:
-    """Mutable per-tile state threaded through the pass list."""
+    """Mutable per-tile state threaded through the pass list.
+
+    The tile's schedule is held as grids, as an element table, or as
+    both when one was converted from the other: :attr:`grids` lays a
+    table out on first read (compact, trim, verify, a snapshot and the
+    assembled schedule read planes), :attr:`elements` reads grids into a
+    table on first read (migration), and either conversion is kept.
+    Assigning one drops the other.
+    """
 
     tile: Tile
-    #: One grid per sparse channel once the build pass has run.
-    grids: Optional[List[ChannelGrid]] = None
     #: Elements moved across channels (set by migrate/build passes).
     migrated: int = 0
     #: Per-tile migration bookkeeping (merged into the run's report).
@@ -60,6 +70,32 @@ class TileState:
     #: Index of the first pass that must run for this tile; passes below
     #: it were restored from the pass-artifact cache.
     resume_from: int = 0
+    _grids: Optional[List[ChannelGrid]] = field(default=None, repr=False)
+    _elements: Optional[TileElements] = field(default=None, repr=False)
+
+    @property
+    def grids(self) -> Optional[List[ChannelGrid]]:
+        """One grid per sparse channel once a build pass has run."""
+        if self._grids is None and self._elements is not None:
+            self._grids = self._elements.grids()
+        return self._grids
+
+    @grids.setter
+    def grids(self, grids: Optional[List[ChannelGrid]]) -> None:
+        self._grids = grids
+        self._elements = None
+
+    @property
+    def elements(self) -> Optional[TileElements]:
+        """The tile's element table once a build pass has run."""
+        if self._elements is None and self._grids is not None:
+            self._elements = TileElements.of_grids(self._grids)
+        return self._elements
+
+    @elements.setter
+    def elements(self, elements: Optional[TileElements]) -> None:
+        self._elements = elements
+        self._grids = None
 
 
 @dataclass

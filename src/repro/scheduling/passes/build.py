@@ -12,16 +12,17 @@ built-in scheme modules function-locally — the sanctioned escape hatch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Tuple
+from typing import Callable, Dict, List, Mapping, Tuple, Union
 
 from ...errors import ConfigError
-from ..base import ChannelGrid
+from ..base import ChannelGrid, TileElements
 from ..stats import MigrationReport
-from ..window import Tile
 from .base import SchedulePass, ScheduleIR, TileState
 
-#: ``builder(tile, config, options, report) -> List[ChannelGrid]``.
-BuilderFn = Callable[..., List[ChannelGrid]]
+#: ``builder(tile, config, options, report)``: the vectorized PE-aware
+#: kernel returns the tile's element table, the kernels that place
+#: elements one slot at a time return their grids.
+BuilderFn = Callable[..., Union[TileElements, List[ChannelGrid]]]
 
 
 @dataclass(frozen=True)
@@ -111,12 +112,15 @@ class BuildGridPass(SchedulePass):
         report = None
         if entry.uses_report:
             report = MigrationReport()
-        grids = entry.fn(state.tile, ir.config, self._options, report)
-        # Kernels that place elements one at a time hand back writable
-        # grids; every grid leaves the pass as a value.
-        for grid in grids:
-            grid.freeze()
-        state.grids = grids
+        built = entry.fn(state.tile, ir.config, self._options, report)
+        if isinstance(built, TileElements):
+            state.elements = built
+        else:
+            # Kernels that place elements one at a time hand back
+            # writable grids; every grid leaves the pass as a value.
+            for grid in built:
+                grid.freeze()
+            state.grids = built
         if report is not None:
             state.report = report
             state.migrated = report.migrated

@@ -71,11 +71,32 @@ def _encode(value: Any, h: "hashlib._Hash") -> None:
     h.update(b"\x1f")  # field separator
 
 
-def fingerprint(*parts: Any) -> str:
-    """Digest an ordered sequence of values into one hex fingerprint."""
+class _Encoding(list):
+    """Stands in for a digest: keeps the chunks :func:`_encode` feeds."""
+
+    update = list.append
+
+
+def encode(*parts: Any) -> bytes:
+    """The canonical encoding of ``parts``: the bytes :func:`fingerprint`
+    hashes for them."""
+    chunks = _Encoding()
+    for part in parts:
+        _encode(part, chunks)
+    return b"".join(chunks)
+
+
+def fingerprint(*parts: Any, tail: bytes = b"") -> str:
+    """Digest an ordered sequence of values into one hex fingerprint.
+
+    ``tail`` is more parts, already encoded (:func:`encode`), hashed
+    after ``parts``: ``fingerprint(a, tail=encode(b, c))`` equals
+    ``fingerprint(a, b, c)``.
+    """
     h = hashlib.sha256()
     for part in parts:
         _encode(part, h)
+    h.update(tail)
     return h.hexdigest()
 
 

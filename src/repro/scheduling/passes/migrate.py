@@ -1,4 +1,4 @@
-"""``MigratePass`` — cross-channel hole filling over built grids.
+"""``MigratePass`` — cross-channel hole filling over a built tile.
 
 Like the build kernels, the migration kernels stay in their scheme
 modules (CrHCS's ring migration today; PE-aware-variant strategies can
@@ -16,8 +16,8 @@ from ..base import ChannelGrid
 from ..stats import MigrationReport
 from .base import SchedulePass, ScheduleIR, TileState
 
-#: ``migrator(grids, config, options, report) -> List[ChannelGrid]``: reads
-#: the built grids and returns new, read-only ones.
+#: ``migrator(elements, config, options, report) -> List[ChannelGrid]``:
+#: reads the tile's element table and returns new, read-only grids.
 MigratorFn = Callable[..., List[ChannelGrid]]
 
 
@@ -93,7 +93,10 @@ class MigratePass(SchedulePass):
         return tuple(sorted(self._options.items()))
 
     def run_tile(self, state: TileState, ir: ScheduleIR) -> None:
-        if state.grids is None:
+        # The build's table as it came, or grids (a slot-at-a-time
+        # builder's, or a build snapshot's) read into one.
+        elements = state.elements
+        if elements is None:
             raise SchedulingError(
                 f"{self.token} needs built grids; "
                 f"run a build pass before it"
@@ -102,7 +105,7 @@ class MigratePass(SchedulePass):
         # here whether or not the caller asked for a report.
         report = MigrationReport()
         state.grids = self._entry.fn(
-            state.grids, ir.config, self._options, report
+            elements, ir.config, self._options, report
         )
         state.report = report
         state.migrated = report.migrated

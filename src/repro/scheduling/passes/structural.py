@@ -41,10 +41,13 @@ class CompactPass(SchedulePass):
     token = "compact"
 
     def run_tile(self, state: TileState, ir: ScheduleIR) -> None:
-        if state.grids is None:
+        grids = state.grids
+        if grids is None:
             raise SchedulingError("compact needs built grids")
-        for grid in state.grids:
+        for grid in grids:
             grid.trim_trailing_stalls()
+        # The lengths changed: a table the state kept is stale.
+        state.grids = grids
 
 
 class TrimPass(SchedulePass):
@@ -54,11 +57,13 @@ class TrimPass(SchedulePass):
     token = "trim"
 
     def run_tile(self, state: TileState, ir: ScheduleIR) -> None:
-        if state.grids is None:
+        grids = state.grids
+        if grids is None:
             raise SchedulingError("trim needs built grids")
-        length = max((len(g) for g in state.grids), default=0)
-        for grid in state.grids:
+        length = max((len(g) for g in grids), default=0)
+        for grid in grids:
             grid.ensure_length(length)
+        state.grids = grids  # as in compact: drop a stale table
 
 
 class VerifyPass(SchedulePass):
@@ -68,16 +73,17 @@ class VerifyPass(SchedulePass):
     token = "verify"
 
     def run_tile(self, state: TileState, ir: ScheduleIR) -> None:
-        if state.grids is None:
+        grids = state.grids
+        if grids is None:
             raise SchedulingError("verify needs built grids")
-        scheduled = sum(g.element_count for g in state.grids)
+        scheduled = sum(g.element_count for g in grids)
         if scheduled != state.tile.nnz:
             raise SchedulingError(
                 f"{ir.scheme}: tile at ({state.tile.row_base}, "
                 f"{state.tile.col_base}) scheduled {scheduled} of "
                 f"{state.tile.nnz} non-zeros"
             )
-        lengths = {len(g) for g in state.grids}
+        lengths = {len(g) for g in grids}
         if len(lengths) > 1:
             raise SchedulingError(
                 f"{ir.scheme}: unequalised channel lists "

@@ -32,7 +32,9 @@ from ..errors import SchedulingError
 from ..formats.coo import COOMatrix
 from ..formats.csr import CSRMatrix
 from .. import telemetry
-from .base import ChannelGrid, Schedule, TiledSchedule, pe_for_row
+from .base import (
+    ChannelGrid, Schedule, TiledSchedule, TileElements, pe_for_row,
+)
 from .passes import PassManager, register_builder, resolve_passes
 from .registry import register_scheme
 from .window import Tile, tile_matrix
@@ -152,8 +154,8 @@ def schedule_single_pe_round_robin(
     return cycles.tolist(), elements.tolist(), length
 
 
-def pe_aware_grids(tile: Tile, config: AcceleratorConfig) -> List[ChannelGrid]:
-    """Unequalised per-channel grids for one tile.
+def pe_aware_elements(tile: Tile, config: AcceleratorConfig) -> TileElements:
+    """The unequalised PE-aware schedule of one tile, as its element table.
 
     This is the intermediate CrHCS starts from: each channel is as long as
     its own slowest PE, before the global resize of §3.1.
@@ -162,9 +164,9 @@ def pe_aware_grids(tile: Tile, config: AcceleratorConfig) -> List[ChannelGrid]:
     puts elements in (global PE, row, column) order, segmented reductions
     compute each round-robin window's rotation count and base cycle, and
     every element's slot follows from ``base + rotation × distance +
-    lane`` — no per-element (or per-lane) Python loop.  The channel
-    grids are then written with one scatter per field into one buffer
-    (:meth:`ChannelGrid.tile_grids`).
+    lane`` — no per-element (or per-lane) Python loop.  One more sort
+    puts the elements in channel-major stream order; no plane is laid
+    out (:func:`pe_aware_grids` does that).
     """
     channels_n = config.sparse_channels
     ppc = config.pes_per_channel
@@ -174,7 +176,11 @@ def pe_aware_grids(tile: Tile, config: AcceleratorConfig) -> List[ChannelGrid]:
         raise SchedulingError("dependency distance must be >= 1")
     nnz = tile.nnz
     if nnz == 0:
-        return [ChannelGrid(channel_id=c, pes=ppc) for c in range(channels_n)]
+        empty = np.empty(0, dtype=np.int64)
+        return TileElements(
+            ppc, (0,) * channels_n, empty, empty, empty, empty,
+            np.empty(0, dtype=np.float64), empty, empty,
+        )
 
     rows = np.asarray(tile.rows, dtype=np.int64)
     cols = np.asarray(tile.cols, dtype=np.int64)
@@ -230,19 +236,37 @@ def pe_aware_grids(tile: Tile, config: AcceleratorConfig) -> List[ChannelGrid]:
     elem_cycle = np.repeat(row_base, row_lens) + distance * rotation_index
     elem_pe = elem_gpe % ppc
     elem_channel = elem_gpe // ppc
+    elem_slot = elem_cycle * ppc + elem_pe
 
-    # The whole tile fills one buffer.  A data list ends at its last
-    # non-zero; the trailing rotation stalls of the final window carry no
-    # information.
-    return ChannelGrid.tile_grids(
-        channels_n, ppc, elem_channel, elem_cycle * ppc + elem_pe, elem_row,
-        cols[order], values[order], elem_channel, elem_pe,
+    # Channel-major stream order (the slots are distinct per channel).
+    # A data list ends at its last non-zero; the trailing rotation
+    # stalls of the final window carry no information.
+    stream = np.argsort(
+        elem_channel * (int(elem_slot.max()) + 1) + elem_slot
+    )
+    channels = elem_channel[stream]
+    slots = elem_slot[stream]
+    ends = np.searchsorted(channels, np.arange(1, channels_n + 1))
+    starts = np.concatenate([[0], ends[:-1]])
+    lengths = np.where(ends > starts, slots[ends - 1] // ppc + 1, 0)
+    taken = order[stream]
+    return TileElements(
+        ppc, tuple(lengths.tolist()), channels, slots, elem_row[stream],
+        cols[taken], values[taken], channels, elem_pe[stream],
     )
 
 
+def pe_aware_grids(tile: Tile, config: AcceleratorConfig) -> List[ChannelGrid]:
+    """Unequalised per-channel PE-aware grids for one tile: the element
+    table of :func:`pe_aware_elements`, laid out in one buffer
+    (:meth:`ChannelGrid.tile_grids`)."""
+    return pe_aware_elements(tile, config).grids()
+
+
 def _pe_aware_builder(tile, config, options, report):
-    """Kernel adapter for the pass pipeline (``build:pe_aware``)."""
-    return pe_aware_grids(tile, config)
+    """Kernel adapter for the pass pipeline (``build:pe_aware``): hands
+    on the element table, not grids."""
+    return pe_aware_elements(tile, config)
 
 
 register_builder("pe_aware", _pe_aware_builder, version=PE_AWARE_VERSION)

@@ -36,12 +36,13 @@ from typing import Callable, Dict, Optional, Tuple
 from ..config import AcceleratorConfig
 from ..errors import ConfigError
 from .passes import validate_pass_name
-from .passes.fingerprint import fingerprint_config
+from .passes.fingerprint import encode, fingerprint_config
 
 #: name → spec; the *only* scheme dispatch table in the code base.
 _REGISTRY: Dict[str, "SchedulerSpec"] = {}
 
-#: Pass signatures one spec keeps before it empties its memo.
+#: Pass signatures (and schedule key tails) one spec keeps before it
+#: empties that memo.
 _SIGNATURE_MEMO = 64
 
 #: Keyword-argument types whose ``repr`` pins their canonical encoding
@@ -104,8 +105,9 @@ class SchedulerSpec:
             raise ConfigError(
                 f"scheme {self.name!r} declares passes but no plan"
             )
-        # Outside the fields, so equality and ``replace`` never see it.
+        # Outside the fields, so equality and ``replace`` never see them.
         object.__setattr__(self, "_signatures", {})
+        object.__setattr__(self, "_key_tails", {})
 
     def pass_plan(self, config: AcceleratorConfig, scheduler_kwargs: dict):
         """The instantiated pass list for one (config, kwargs) pair.
@@ -132,22 +134,45 @@ class SchedulerSpec:
         if self.plan is None:
             return ()
         clean = _plan_kwargs(scheduler_kwargs)
-        if all(type(value) in _SCALARS for value in clean.values()):
-            key = (
-                fingerprint_config(config),
-                tuple((k, repr(clean[k])) for k in sorted(clean)),
-            )
-        else:
-            key = None
         memo = self.__dict__["_signatures"]
+        key = _memo_key(config, clean)
         signature = memo.get(key)
         if signature is None:
             signature = tuple(p.signature() for p in self.plan(config, clean))
-            if key is not None:
-                if len(memo) >= _SIGNATURE_MEMO:
-                    memo.clear()
-                memo[key] = signature
+            _remember(memo, key, signature)
         return signature
+
+    def schedule_key_tail(
+        self, config: AcceleratorConfig, scheduler_kwargs: dict
+    ) -> bytes:
+        """The encoded tail of this scheme's schedule keys.
+
+        A schedule key digests the matrix fingerprint, then the scheme's
+        name and version, the config's digest, the public (not
+        ``_``-prefixed) kwargs and the pass signature.  That tail is a
+        pure function of (spec, config, public kwargs), so the spec
+        encodes it once (:func:`~repro.scheduling.passes.fingerprint.encode`)
+        and memoizes the bytes like :meth:`pass_signature`, on the same
+        exact key.
+        """
+        public = {
+            k: scheduler_kwargs[k]
+            for k in sorted(scheduler_kwargs)
+            if not k.startswith("_")
+        }
+        memo = self.__dict__["_key_tails"]
+        key = _memo_key(config, public)
+        tail = memo.get(key)
+        if tail is None:
+            tail = encode(
+                self.name,
+                self.version,
+                fingerprint_config(config),
+                public,
+                self.pass_signature(config, scheduler_kwargs),
+            )
+            _remember(memo, key, tail)
+        return tail
 
     @property
     def clock_mhz(self) -> float:
@@ -159,6 +184,27 @@ class SchedulerSpec:
         from ..power.devices import measured_power
 
         return measured_power(self.power_key)
+
+
+def _memo_key(config: AcceleratorConfig, kwargs: dict):
+    """The exact memo key of (config, kwargs): the config's digest and
+    the kwargs' ``repr``; ``None`` (no memo) unless every kwarg is a
+    plain scalar."""
+    if all(type(value) in _SCALARS for value in kwargs.values()):
+        return (
+            fingerprint_config(config),
+            tuple((k, repr(kwargs[k])) for k in sorted(kwargs)),
+        )
+    return None
+
+
+def _remember(memo: dict, key, value) -> None:
+    """Keep ``value`` under ``key`` (not when ``None``), emptying a full
+    memo first."""
+    if key is not None:
+        if len(memo) >= _SIGNATURE_MEMO:
+            memo.clear()
+        memo[key] = value
 
 
 def _plan_kwargs(scheduler_kwargs: dict) -> dict:

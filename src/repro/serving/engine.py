@@ -85,9 +85,6 @@ BATCH_ENV = "REPRO_SERVE_BATCH"
 DEFAULT_WORKERS = 4
 DEFAULT_BATCH = 8
 
-#: Worker poll interval while idle (also the drain-detection latency).
-_POLL_S = 0.05
-
 
 class _SessionSpec:
     """Stand-in scheme spec for session-work entries.
@@ -328,10 +325,13 @@ class ServingEngine:
         return self
 
     def drain(self) -> None:
-        """Stop admitting; queued and in-flight work still completes."""
+        """Stop admitting; queued and in-flight work still completes.
+
+        Closes the queue: each worker returns once it finds it empty.
+        """
         if self._state in ("running", "new"):
             self._state = "draining"
-        self.queue.wake_all()
+        self.queue.close()
 
     def shutdown(self, drain: bool = True,
                  timeout: Optional[float] = None) -> None:
@@ -348,7 +348,7 @@ class ServingEngine:
             self._state = "stopping"
             for entry in self.queue.drain():
                 self._finish_shed(entry, "engine shutdown")
-            self.queue.wake_all()
+            self.queue.close()
         for thread in self._threads:
             thread.join(timeout)
         self._state = "stopped"
@@ -549,15 +549,15 @@ class ServingEngine:
     def _worker_loop(self, index: int) -> None:
         t = telemetry.get()
         while True:
-            entry, expired = self.queue.pop(timeout=_POLL_S)
+            # Blocks until work arrives or the queue closes; ``None``
+            # with nothing expired means closed and empty.
+            entry, expired = self.queue.pop()
             for stale in expired:
                 self._finish_expired(stale)
             if entry is None:
-                if self._state in ("draining", "stopping") and not len(
-                    self.queue
-                ):
-                    return
-                continue
+                if expired:
+                    continue
+                return
             with tracing.scope(entry.trace), t.span(
                 "serving.dispatch", worker=index
             ):

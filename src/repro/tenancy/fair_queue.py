@@ -2,7 +2,8 @@
 
 Drop-in replacement for :class:`repro.serving.queue.AdmissionQueue`
 (same ``push``/``pop``/``pop_group``/``reprioritize``/``drain``
-contract, same ``(admitted, displaced, expired)`` push result) that
+contract, same ``(admitted, displaced, expired)`` push result, plus
+``close`` to release blocked poppers) that
 schedules *per tenant*:
 
 * **ordering** — each tenant keeps its own strict-priority subqueue
@@ -83,6 +84,8 @@ class FairAdmissionQueue:
         self.served: Dict[str, int] = {}
         #: tenant → entries shed out of this queue (quota/displacement).
         self.shed: Dict[str, int] = {}
+        #: Set by :meth:`close`: an empty closed queue answers at once.
+        self._closed = False
         self._cond = threading.Condition()
 
     def __len__(self) -> int:
@@ -296,7 +299,11 @@ class FairAdmissionQueue:
     def pop(
         self, timeout: Optional[float] = None
     ) -> Tuple[Optional[Any], List[Any]]:
-        """The next fair-share entry, blocking up to ``timeout``."""
+        """The next fair-share entry, blocking up to ``timeout``.
+
+        A closed queue still hands out what it holds; once it is empty,
+        ``pop`` returns ``(None, [])`` at once.
+        """
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
             while True:
@@ -304,7 +311,7 @@ class FairAdmissionQueue:
                 expired = self._purge_expired(now) if self._size else []
                 if self._size:
                     return self._pop_locked(), expired
-                if expired:
+                if expired or self._closed:
                     return None, expired
                 remaining = None if deadline is None else deadline - now
                 if remaining is not None and remaining <= 0:
@@ -362,9 +369,12 @@ class FairAdmissionQueue:
             self._cond.notify_all()
             return [entry for _key, entry in items]
 
-    def wake_all(self) -> None:
-        """Wake blocked poppers (engine drain)."""
+    def close(self) -> None:
+        """Let every popper return once the queue is empty (engine drain
+        and shutdown); the flag is read under the lock before each wait,
+        so no wake-up is lost."""
         with self._cond:
+            self._closed = True
             self._cond.notify_all()
 
     # -- introspection ---------------------------------------------------

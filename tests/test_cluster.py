@@ -500,6 +500,83 @@ class TestConfigKeys:
         # no earlier request has memoized it.
         assert len(builds) <= len(resolves) <= len(builds) + 1
 
+    def test_schedule_key_tail_is_encoded_once(self, monkeypatch):
+        """A schedule key digests the matrix fingerprint, then its
+        scheme's tail (name, version, config digest, public kwargs, pass
+        signature), which the spec encodes once per exact (config,
+        kwargs) key: the digest is a fresh one's, and a request past the
+        first encodes two values for it, the tag and the matrix."""
+        import importlib
+        import threading
+
+        from repro.config import DEFAULT_CHASON
+        from repro.pipeline.fingerprint import (
+            fingerprint,
+            fingerprint_config,
+        )
+        from repro.pipeline.stages import ScheduleStage
+        from repro.scheduling.stats import MigrationReport
+
+        configs = [DEFAULT_CHASON,
+                   dataclasses.replace(DEFAULT_CHASON, frequency_mhz=301),
+                   dataclasses.replace(DEFAULT_CHASON, frequency_mhz=301.0)]
+        for name in ("crhcs", "pe_aware", "row_split"):
+            spec = get_scheme(name)
+            for config in configs:
+                for kwargs in ({}, {"migration_span": 1},
+                               {"migration_span": 2, "steal_tries": 3},
+                               {"max_rows_per_pass": 256},
+                               {"_pass_cache": object()},
+                               {"report": MigrationReport()}):
+                    if name != "crhcs":
+                        kwargs = {k: v for k, v in kwargs.items()
+                                  if k in ("max_rows_per_pass", "_pass_cache")}
+                    public = {k: kwargs[k] for k in sorted(kwargs)
+                              if not k.startswith("_")}
+                    fresh = fingerprint(
+                        "schedule", "matrix-fp", spec.name, spec.version,
+                        fingerprint_config(config), public,
+                        spec.pass_signature(config, kwargs),
+                    )
+                    for _ in range(2):
+                        assert ScheduleStage.fingerprint_for(
+                            "matrix-fp", spec, config, kwargs) == fresh
+        # Equal configs (301 == 301.0) with distinct digests keep
+        # distinct keys.
+        assert len({ScheduleStage.fingerprint_for(
+            "matrix-fp", get_scheme("crhcs"), config, {})
+            for config in configs[1:]}) == 2
+
+        # The module, not the function the package re-exports by its name.
+        fingerprints = importlib.import_module(
+            "repro.scheduling.passes.fingerprint"
+        )
+        local = threading.local()
+        encodes = []
+        real_encode = fingerprints._encode
+        real_key = ScheduleStage.fingerprint_for
+
+        def counting_encode(value, h):
+            local.count = getattr(local, "count", 0) + 1
+            return real_encode(value, h)
+
+        def counting_key(*args, **kwargs):
+            local.count = 0
+            digest = real_key(*args, **kwargs)
+            encodes.append(local.count)
+            return digest
+
+        monkeypatch.setattr(fingerprints, "_encode", counting_encode)
+        monkeypatch.setattr(ScheduleStage, "fingerprint_for",
+                            staticmethod(counting_key))
+        with Cluster(devices=3, fidelity="exact", hedge_ms=60_000,
+                     fault_plan=FaultPlan()) as cluster:
+            for index in range(12):
+                request = SpMVRequest(MATRICES[index % 3])
+                assert cluster.execute(request).ok
+        assert len(encodes) >= 12
+        assert encodes[1:] == [2] * (len(encodes) - 1)
+
 
 class TestHotSetBuilds:
     def test_one_off_traffic_does_not_flush_the_hot_set(self, monkeypatch):

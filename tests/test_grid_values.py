@@ -1,20 +1,30 @@
 """Grids are values: migration lays each tile's lists out once, right-sized
-and read-only, and ``reschedule`` snapshots share their planes."""
+and read-only, from the build's element table, and ``reschedule``
+snapshots share their planes."""
 
 import numpy as np
 import pytest
 
-from repro.config import DEFAULT_CHASON
+from repro.config import DEFAULT_CHASON, ChasonConfig, HBMConfig
 from repro.formats.coo import COOMatrix
-from repro.matrices.generators import uniform_random
+from repro.matrices.generators import power_law_rows, uniform_random
 from repro.pipeline import PipelineRunner
 from repro.pipeline.store import ArtifactStore
-from repro.scheduling.base import ScheduledElement
-from repro.scheduling.passes import schedules_identical
+from repro.scheduling.base import ChannelGrid, Schedule, ScheduledElement
+from repro.scheduling.greedy import greedy_grids
+from repro.scheduling.legacy import legacy_migrate_grids
+from repro.scheduling.passes import (
+    PassManager,
+    resolve_passes,
+    schedules_identical,
+    tiles_identical,
+)
 from repro.scheduling.serialize import (
     deserialize_schedule,
     serialize_schedule,
 )
+from repro.scheduling.stats import MigrationReport
+from repro.scheduling.window import tile_matrix
 
 
 def _planes(grid):
@@ -146,3 +156,146 @@ def test_a_failed_write_leaves_the_grid_as_it_was():
         grid.set_slot(*hole, ScheduledElement(0, 0, 1.0, 0, 0))
     assert grid.element_count == count
     assert grid.slot(*hole) is None
+
+
+def _random_coo(seed, n, nnz):
+    rng = np.random.default_rng(seed)
+    return COOMatrix(
+        shape=(n, n),
+        rows=rng.integers(0, n, nnz),
+        cols=rng.integers(0, n, nnz),
+        values=rng.random(nnz) + 0.5,
+    ).sum_duplicates()
+
+
+@pytest.fixture
+def layouts(monkeypatch):
+    """Counts grid layouts (``ChannelGrid.tile_grids`` calls and the
+    cycle rows they fill) and grid read-backs (``flat_elements`` calls)."""
+    counts = {"layouts": 0, "rows": 0, "reads": 0}
+    tile_grids = ChannelGrid.tile_grids
+    flat_elements = ChannelGrid.flat_elements
+
+    def counting_tile_grids(cls, *args, **kwargs):
+        grids = tile_grids(*args, **kwargs)
+        counts["layouts"] += 1
+        counts["rows"] += sum(grid.capacity for grid in grids)
+        return grids
+
+    def counting_flat_elements(self):
+        counts["reads"] += 1
+        return flat_elements(self)
+
+    monkeypatch.setattr(ChannelGrid, "tile_grids",
+                        classmethod(counting_tile_grids))
+    monkeypatch.setattr(ChannelGrid, "flat_elements", counting_flat_elements)
+    return counts
+
+
+@pytest.mark.parametrize("scheme, nnz, n, max_rows, expected", [
+    # The PE-aware table goes to migration as it is; only the migrated
+    # lists are laid out (the PE-aware lists would fill 2,876 rows).
+    ("crhcs", 1_800, 128, 0, (1, 336)),
+    ("crhcs", 20_000, 2048, 256, (8, 2_683)),
+    # With nothing after the build that takes a table, compact lays the
+    # PE-aware table out, once.
+    ("pe_aware", 1_800, 128, 0, (1, 2_876)),
+])
+def test_a_cold_schedule_lays_each_tile_out_once(
+    layouts, scheme, nnz, n, max_rows, expected
+):
+    matrix = uniform_random(n, n, nnz, seed=0 if n == 128 else 1)
+    PipelineRunner().schedule(matrix, scheme, max_rows_per_pass=max_rows)
+    assert (layouts["layouts"], layouts["rows"]) == expected
+    assert layouts["reads"] == 0
+
+
+def test_reschedule_lays_out_only_what_it_runs(layouts):
+    """A warm tile resumed after its last cacheable pass lays nothing
+    out; a rebuilt one lays out its build snapshot and its migrated
+    lists, and migration reads the table the tile kept, not the grids."""
+    matrix = _random_coo(11, 1200, 8_000)
+    runner = PipelineRunner()
+    runner.reschedule(matrix, "crhcs", max_rows_per_pass=150)
+    tiles = runner.last_reschedule_stats.executed["migrate:crhcs"]
+    assert layouts["layouts"] == 2 * tiles and layouts["reads"] == 0
+
+    layouts.update(layouts=0, reads=0)
+    runner.reschedule(matrix, "crhcs", max_rows_per_pass=150)
+    assert runner.last_reschedule_stats.skipped["migrate:crhcs"] == tiles
+    assert layouts["layouts"] == layouts["reads"] == 0
+
+    matrix.values[0] += 1.0
+    runner.reschedule(matrix, "crhcs", max_rows_per_pass=150)
+    stats = runner.last_reschedule_stats
+    assert stats.executed["migrate:crhcs"] == 1
+    assert layouts["layouts"] == 2 and layouts["reads"] == 0
+
+    # A migrate-only change resumes every tile from its build snapshot,
+    # whose grids migration reads back, one channel at a time.
+    layouts.update(layouts=0, reads=0)
+    runner.reschedule(matrix, "crhcs", max_rows_per_pass=150, steal_tries=4)
+    assert runner.last_reschedule_stats.skipped["build:pe_aware"] == tiles
+    assert layouts["layouts"] == tiles
+    assert layouts["reads"] == tiles * DEFAULT_CHASON.sparse_channels
+
+    layouts.update(layouts=0, reads=0)
+    runner.reschedule(matrix, "pe_aware", max_rows_per_pass=150)
+    runner.reschedule(matrix, "pe_aware", max_rows_per_pass=150)
+    assert runner.last_reschedule_stats.skipped["build:pe_aware"] == tiles
+    assert layouts["layouts"] == tiles and layouts["reads"] == 0
+
+
+SMALL = ChasonConfig(
+    sparse_channels=3, pes_per_channel=2, accumulator_latency=3,
+    column_window=32, row_window=64, scug_size=2,
+    hbm=HBMConfig(total_channels=8),
+)
+
+
+@pytest.mark.parametrize("config, matrix, span", [
+    (DEFAULT_CHASON, uniform_random(128, 128, 1_800, seed=3), 1),
+    (DEFAULT_CHASON, power_law_rows(300, 300, 3_000, seed=2), 2),
+    (SMALL, power_law_rows(150, 90, 900, seed=5), 1),
+    (SMALL, uniform_random(200, 64, 1_500, seed=6), 2),
+])
+def test_a_slot_at_a_time_build_feeds_migration(layouts, config, matrix,
+                                                span):
+    """``build:greedy`` grids go through migration: the pass list
+    equals the legacy walk over writable copies of the same grids, tile
+    for tile and report for report, and each tile's grids are read back
+    once."""
+    options = {"migration_span": span, "steal_tries": 8}
+    manager = PassManager(
+        resolve_passes(
+            ("build:greedy", "migrate:crhcs", "compact", "trim", "verify"),
+            options,
+        ),
+        scheme="crhcs",
+        migration_span=span,
+    )
+    schedule = manager.run(matrix, config)
+    tiles = tile_matrix(matrix, config)
+    assert layouts["layouts"] == len(tiles)
+    assert layouts["reads"] == len(tiles) * config.sparse_channels
+
+    expected = MigrationReport()
+    assert len(schedule.tiles) == len(tiles)
+    for tile, got in zip(tiles, schedule.tiles):
+        grids = greedy_grids(tile, config)
+        report = MigrationReport()
+        legacy_migrate_grids(grids, config, span, steal_tries=8,
+                             report=report)
+        reference = Schedule(
+            config=config, grids=grids, scheme="crhcs",
+            row_base=tile.row_base, col_base=tile.col_base,
+            migrated_count=report.migrated, migration_span=span,
+        )
+        reference.equalise()
+        assert tiles_identical(got, reference)
+        expected.merge(report)
+    report = manager.last_report
+    assert (report.migrated, report.own_issues, report.raw_skips) == (
+        expected.migrated, expected.own_issues, expected.raw_skips)
+    assert report.pair_counts == expected.pair_counts
+    assert report.migrated > 0

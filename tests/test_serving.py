@@ -340,6 +340,39 @@ class TestLifecycle:
         assert shed.detail == "engine shutdown"
         assert blocker.result(timeout=5.0).ok  # in-flight batch finishes
 
+    def test_idle_workers_block_until_the_queue_closes(self):
+        """An idle worker makes one ``pop`` call and blocks in it (no
+        idle poll); shutdown closes the queue and every call returns."""
+        engine = ServingEngine(workers=3)
+        pops = []
+        pop = engine.queue.pop
+
+        def counting_pop(*args, **kwargs):
+            pops.append(1)
+            return pop(*args, **kwargs)
+
+        engine.queue.pop = counting_pop
+        engine.start()
+        time.sleep(0.3)
+        assert len(pops) == 3
+        engine.shutdown(timeout=5.0)
+        assert len(pops) == 3
+        assert not any(thread.is_alive() for thread in engine._threads)
+
+    def test_shutdown_of_an_idle_engine_returns_at_once(self):
+        """The median of five idle four-worker shutdowns is under 10 ms
+        (30 ms when idle workers polled the queue every 50 ms)."""
+        times = []
+        for _ in range(5):
+            engine = ServingEngine(workers=4)
+            engine.start()
+            time.sleep(0.02)
+            start = time.perf_counter()
+            engine.shutdown(timeout=5.0)
+            times.append(time.perf_counter() - start)
+            assert not any(thread.is_alive() for thread in engine._threads)
+        assert sorted(times)[2] < 0.010
+
     def test_submit_before_start_raises(self):
         engine = ServingEngine(workers=1)
         with pytest.raises(ServingError, match="not started"):

@@ -19,6 +19,7 @@ import dataclasses
 import json
 import math
 import random
+import threading
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -379,6 +380,39 @@ class TestQuotaAndFloodIsolation:
             _Item(seq=3, tenant="victim"), now=0.0
         )
         assert displaced is newest
+
+
+class TestClose:
+    def test_close_releases_a_blocked_pop(self):
+        queue = FairAdmissionQueue(capacity=4)
+        results = []
+        popper = threading.Thread(
+            target=lambda: results.append(queue.pop()), daemon=True
+        )
+        popper.start()
+        popper.join(timeout=0.05)
+        assert popper.is_alive() and results == []
+        queue.close()
+        popper.join(timeout=5.0)
+        assert results == [(None, [])]
+
+    def test_a_closed_queue_hands_out_what_it_holds(self):
+        queue = FairAdmissionQueue(capacity=4)
+        first, second = _Item(seq=0, tenant="a"), _Item(seq=1, tenant="b")
+        queue.push(first, now=0.0)
+        queue.push(second, now=0.0)
+        queue.close()
+        assert queue.pop() == (first, [])
+        assert queue.pop() == (second, [])
+        assert queue.pop() == (None, [])
+
+    def test_a_closed_queue_returns_its_expired_entries(self):
+        queue = FairAdmissionQueue(capacity=4)
+        stale = _Item(seq=0, deadline_at=0.0)
+        queue.push(stale, now=0.0)
+        queue.close()
+        assert queue.pop() == (None, [stale])
+        assert queue.pop() == (None, [])
 
 
 class TestRequestTenantField:
