@@ -27,13 +27,13 @@ repeated sweep recomputes only stages whose fingerprints changed.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ..baselines.cpu import MklCpuModel
 from ..baselines.gpu import CusparseGpuModel, RTX_4090, RTX_A6000
 from ..formats.coo import COOMatrix
+from ..knobs import knob
 from ..matrices.collection import CORPUS_SIZE, CorpusSpec, corpus_specs
 from ..matrices.named import MatrixSpec, named_specs
 from ..metrics import (
@@ -45,18 +45,18 @@ from ..metrics import (
 from ..pipeline import PipelineRunner, SpMVReport, global_artifact_store
 from .runner import run_over_specs
 
-DEFAULT_CORPUS_COUNT = 96
-DEFAULT_CORPUS_NNZ_CAP = 40_000
+_FULL_CORPUS = knob("REPRO_FULL_CORPUS")
+_CORPUS_COUNT = knob("REPRO_CORPUS_COUNT")
+_CORPUS_NNZ_CAP = knob("REPRO_CORPUS_NNZ_CAP")
 
 
 def default_corpus_size() -> Tuple[int, Optional[int]]:
     """The (count, nnz_cap) the benchmarks use, after env overrides."""
-    if os.environ.get("REPRO_FULL_CORPUS"):
+    if _FULL_CORPUS.current is not None:
         return CORPUS_SIZE, None
-    count = int(os.environ.get("REPRO_CORPUS_COUNT", DEFAULT_CORPUS_COUNT))
-    cap_raw = os.environ.get("REPRO_CORPUS_NNZ_CAP", DEFAULT_CORPUS_NNZ_CAP)
-    cap = int(cap_raw) if int(cap_raw) > 0 else None
-    return count, cap
+    count = _CORPUS_COUNT.read()
+    cap = _CORPUS_NNZ_CAP.read()
+    return count, cap if cap > 0 else None
 
 
 def _resolve_corpus_specs(

@@ -6,8 +6,8 @@ scheduled independently — so the runner fans specs out over a
 ``ProcessPoolExecutor`` when ``REPRO_CORPUS_WORKERS`` asks for more than
 one worker.  Determinism is preserved by construction:
 
-* the default is **serial** (``REPRO_CORPUS_WORKERS`` unset, empty, or
-  ``<= 1``), so CI runs never depend on multiprocessing start methods;
+* the default is **serial** (``REPRO_CORPUS_WORKERS`` unset or ``1``),
+  so CI runs never depend on multiprocessing start methods;
 * parallel results come back through ``Executor.map``, which yields in
   submission order — results are ordered by spec index regardless of
   which worker finishes first;
@@ -39,6 +39,7 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from .. import telemetry
+from ..knobs import knob
 from ..telemetry.sinks import MemorySink
 
 _ItemT = TypeVar("_ItemT")
@@ -47,28 +48,13 @@ _ResultT = TypeVar("_ResultT")
 #: Environment variable selecting the worker count (default: serial).
 WORKERS_ENV = "REPRO_CORPUS_WORKERS"
 
+_WORKERS = knob(WORKERS_ENV)
+
 
 def corpus_worker_count() -> int:
-    """The configured worker count; ``1`` (serial) when unset or invalid.
-
-    An unparsable value (``REPRO_CORPUS_WORKERS=eight``) falls back to
-    serial but is no longer silent: a one-time warning goes through the
-    telemetry/logging path so the misconfiguration is visible in logs and
-    in the trace.
-    """
-    raw = os.environ.get(WORKERS_ENV, "").strip()
-    if not raw:
-        return 1
-    try:
-        count = int(raw)
-    except ValueError:
-        telemetry.warn_once(
-            "invalid_corpus_workers",
-            f"{WORKERS_ENV}={raw!r} is not an integer; "
-            f"falling back to serial execution (1 worker)",
-        )
-        return 1
-    return count if count > 1 else 1
+    """The configured worker count (``REPRO_CORPUS_WORKERS``; ``1``,
+    serial, when unset)."""
+    return _WORKERS.read()
 
 
 class _CapturedTask:

@@ -36,7 +36,7 @@ from .config import DEFAULT_CHASON, DEFAULT_SERPENS
 from .core.chason import ChasonAccelerator
 from .errors import ReproError
 from .formats.io import save_matrix_market
-from .knobs import format_knobs
+from .knobs import format_knobs, knob
 from .matrices.named import NAMED_MATRICES, generate_named
 from .matrices.stats import matrix_stats
 from .power.fpga import chason_power_breakdown
@@ -414,17 +414,20 @@ def _cmd_cluster(args) -> int:
         routing=args.routing,
         fidelity=args.fidelity,
     )
-    cluster.start()
     autoscaler = None
     if getattr(args, "autoscale", False):
         from .cluster import Autoscaler
 
+        # Built before the fleet starts: an invalid interval raises
+        # ConfigError with no device thread left running.
         autoscaler = Autoscaler(
             cluster,
             min_devices=args.autoscale_min,
             max_devices=args.autoscale_max,
             interval_s=args.autoscale_interval,
         )
+    cluster.start()
+    if autoscaler is not None:
         autoscaler.start()
     try:
         results, status = serve_request_file_clustered(
@@ -949,9 +952,9 @@ def _export_on_close(trace_path: str) -> None:
     need the finished JSONL trace on disk, so a ``-`` (stderr) trace
     warns instead of exporting.
     """
-    chrome = os.environ.get(telemetry_mod.TRACE_CHROME_ENV, "").strip()
-    prom = os.environ.get(telemetry_mod.PROM_FILE_ENV, "").strip()
-    if not chrome and not prom:
+    chrome = knob(telemetry_mod.TRACE_CHROME_ENV).current
+    prom = knob(telemetry_mod.PROM_FILE_ENV).current
+    if chrome is None and prom is None:
         return
     if trace_path == "-":
         telemetry_mod.warn_once(

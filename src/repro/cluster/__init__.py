@@ -11,10 +11,6 @@ health tracking, and fault-driven retry/hedging/failover.  See
 from .cluster import (
     Cluster,
     ClusterResult,
-    DEFAULT_DEVICES,
-    DEFAULT_HEDGE_MS,
-    DEFAULT_REPLICAS,
-    DEFAULT_RETRIES,
     DEVICES_ENV,
     HEDGE_ENV,
     HOT_KEY_THRESHOLD,
@@ -64,10 +60,6 @@ __all__ = [
     "autoscale_min_devices",
     "Cluster",
     "ClusterResult",
-    "DEFAULT_DEVICES",
-    "DEFAULT_HEDGE_MS",
-    "DEFAULT_REPLICAS",
-    "DEFAULT_RETRIES",
     "DEFAULT_SCHEDULE_CAPACITY",
     "DEFAULT_STORE_CAPACITY",
     "DEFAULT_VNODES",

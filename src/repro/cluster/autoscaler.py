@@ -24,19 +24,21 @@ anything else.  The loop is **step-driven**: :meth:`Autoscaler.step`
 performs one evaluation (deterministic, directly testable with injected
 signals), and :meth:`start` merely runs steps on a timer thread.
 
-Knobs (all ``REPRO_AUTOSCALE_*``, warn-once fallback on garbage):
-``MIN``, ``MAX``, ``INTERVAL`` (seconds), ``UP_DEPTH``, ``DOWN_DEPTH``,
-``UP_LATENCY_MS``.
+Knobs (all ``REPRO_AUTOSCALE_*``, read under the numeric-knob rule of
+:mod:`repro.knobs`): ``MIN``, ``MAX``, ``INTERVAL`` (seconds, at least
+0.01), ``UP_DEPTH``, ``DOWN_DEPTH``, ``UP_LATENCY_MS``.
 """
 
 from __future__ import annotations
 
-import os
+import math
 import threading
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from .. import telemetry
+from ..errors import ConfigError
+from ..knobs import knob
 
 AUTOSCALE_MIN_ENV = "REPRO_AUTOSCALE_MIN"
 AUTOSCALE_MAX_ENV = "REPRO_AUTOSCALE_MAX"
@@ -45,16 +47,12 @@ AUTOSCALE_UP_DEPTH_ENV = "REPRO_AUTOSCALE_UP_DEPTH"
 AUTOSCALE_DOWN_DEPTH_ENV = "REPRO_AUTOSCALE_DOWN_DEPTH"
 AUTOSCALE_UP_LATENCY_ENV = "REPRO_AUTOSCALE_UP_LATENCY_MS"
 
-DEFAULT_MIN_DEVICES = 1
-DEFAULT_MAX_DEVICES = 8
-DEFAULT_INTERVAL_S = 1.0
-#: Mean queued entries per alive device that reads as overloaded.
-DEFAULT_UP_DEPTH = 8.0
-#: Mean queue depth at or below which the fleet reads as idle.
-DEFAULT_DOWN_DEPTH = 1.0
-#: Any device's served-latency EWMA above this also reads as overloaded
-#: (0 disables the latency trigger).
-DEFAULT_UP_LATENCY_MS = 0.0
+_MIN = knob(AUTOSCALE_MIN_ENV)
+_MAX = knob(AUTOSCALE_MAX_ENV)
+_INTERVAL = knob(AUTOSCALE_INTERVAL_ENV)
+_UP_DEPTH = knob(AUTOSCALE_UP_DEPTH_ENV)
+_DOWN_DEPTH = knob(AUTOSCALE_DOWN_DEPTH_ENV)
+_UP_LATENCY = knob(AUTOSCALE_UP_LATENCY_ENV)
 
 #: Consecutive overloaded evaluations before a scale-up.
 UP_STREAK = 2
@@ -66,77 +64,36 @@ DOWN_STREAK = 4
 COOLDOWN_STEPS = 2
 
 
-def _int_env(env: str, default: int, warn_key: str, minimum: int) -> int:
-    """Integer knob with the warn-once fallback convention."""
-    raw = os.environ.get(env, "").strip()
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        telemetry.warn_once(
-            warn_key,
-            f"{env}={raw!r} is not an integer; "
-            f"falling back to the default ({default})",
-        )
-        return default
-    return max(value, minimum)
-
-
-def _float_env(env: str, default: float, warn_key: str,
-               minimum: float) -> float:
-    """Float knob with the warn-once fallback convention."""
-    raw = os.environ.get(env, "").strip()
-    if not raw:
-        return default
-    try:
-        value = float(raw)
-    except ValueError:
-        telemetry.warn_once(
-            warn_key,
-            f"{env}={raw!r} is not a number; "
-            f"falling back to the default ({default})",
-        )
-        return default
-    return max(value, minimum)
-
-
 def autoscale_min_devices() -> int:
     """Configured fleet floor (``REPRO_AUTOSCALE_MIN``)."""
-    return _int_env(AUTOSCALE_MIN_ENV, DEFAULT_MIN_DEVICES,
-                    "invalid_autoscale_min", 1)
+    return _MIN.read()
 
 
 def autoscale_max_devices() -> int:
     """Configured fleet ceiling (``REPRO_AUTOSCALE_MAX``)."""
-    return _int_env(AUTOSCALE_MAX_ENV, DEFAULT_MAX_DEVICES,
-                    "invalid_autoscale_max", 1)
+    return _MAX.read()
 
 
 def autoscale_interval_s() -> float:
     """Configured evaluation interval (``REPRO_AUTOSCALE_INTERVAL``)."""
-    return _float_env(AUTOSCALE_INTERVAL_ENV, DEFAULT_INTERVAL_S,
-                      "invalid_autoscale_interval", 0.01)
+    return _INTERVAL.read()
 
 
 def autoscale_up_depth() -> float:
     """Scale-up queue-depth threshold (``REPRO_AUTOSCALE_UP_DEPTH``)."""
-    return _float_env(AUTOSCALE_UP_DEPTH_ENV, DEFAULT_UP_DEPTH,
-                      "invalid_autoscale_up_depth", 0.0)
+    return _UP_DEPTH.read()
 
 
 def autoscale_down_depth() -> float:
     """Scale-down queue-depth threshold
     (``REPRO_AUTOSCALE_DOWN_DEPTH``)."""
-    return _float_env(AUTOSCALE_DOWN_DEPTH_ENV, DEFAULT_DOWN_DEPTH,
-                      "invalid_autoscale_down_depth", 0.0)
+    return _DOWN_DEPTH.read()
 
 
 def autoscale_up_latency_ms() -> float:
     """Scale-up latency-EWMA threshold
     (``REPRO_AUTOSCALE_UP_LATENCY_MS``, 0 disables)."""
-    return _float_env(AUTOSCALE_UP_LATENCY_ENV, DEFAULT_UP_LATENCY_MS,
-                      "invalid_autoscale_up_latency", 0.0)
+    return _UP_LATENCY.read()
 
 
 @dataclass(frozen=True)
@@ -175,9 +132,16 @@ class Autoscaler:
             else autoscale_max_devices(),
             self.min_devices,
         )
-        self.interval_s = (
-            interval_s if interval_s is not None else autoscale_interval_s()
-        )
+        if interval_s is None:
+            interval_s = autoscale_interval_s()
+        elif not math.isfinite(interval_s):
+            raise ConfigError(
+                f"autoscaler interval must be a finite number of seconds, "
+                f"got {interval_s!r}"
+            )
+        # A shorter wait would spin the control loop; an explicit value
+        # below the knob's floor clamps to it, as an environment value does.
+        self.interval_s = max(interval_s, _INTERVAL.low)
         self.up_depth = (
             up_depth if up_depth is not None else autoscale_up_depth()
         )

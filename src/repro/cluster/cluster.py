@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import threading
 import time
 from dataclasses import dataclass
@@ -44,6 +43,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .. import telemetry
 from ..errors import ReproError, ServingError
+from ..knobs import knob
 from ..pipeline.stages import LoadStage
 from ..serving.engine import Ticket
 from ..serving.slo import OutcomeLedger
@@ -71,10 +71,11 @@ REPLICAS_ENV = "REPRO_CLUSTER_REPLICAS"
 HEDGE_ENV = "REPRO_CLUSTER_HEDGE_MS"
 RETRIES_ENV = "REPRO_CLUSTER_RETRIES"
 
-DEFAULT_DEVICES = 4
-DEFAULT_REPLICAS = 2
-DEFAULT_HEDGE_MS = 100
-DEFAULT_RETRIES = 3
+_DEVICES = knob(DEVICES_ENV)
+_REPLICAS = knob(REPLICAS_ENV)
+_HEDGE_MS = knob(HEDGE_ENV)
+_RETRIES = knob(RETRIES_ENV)
+_FAULTS = knob(FAULTS_ENV)
 
 #: Requests for the same fingerprint seen at least this often count as
 #: *hot* and may spread over their replica set instead of pinning to
@@ -98,45 +99,24 @@ _ATTEMPT_BUDGET_FACTOR = 8
 _ATTEMPT_BUDGET_FLOOR_S = 5.0
 
 
-def _int_env(env: str, default: int, warn_key: str, minimum: int) -> int:
-    """Integer knob with the warn-once fallback convention."""
-    raw = os.environ.get(env, "").strip()
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        telemetry.warn_once(
-            warn_key,
-            f"{env}={raw!r} is not an integer; "
-            f"falling back to the default ({default})",
-        )
-        return default
-    return max(value, minimum)
-
-
 def cluster_device_count() -> int:
     """Configured device count (``REPRO_CLUSTER_DEVICES``)."""
-    return _int_env(DEVICES_ENV, DEFAULT_DEVICES,
-                    "invalid_cluster_devices", 1)
+    return _DEVICES.read()
 
 
 def cluster_replica_count() -> int:
     """Configured replica-set size (``REPRO_CLUSTER_REPLICAS``)."""
-    return _int_env(REPLICAS_ENV, DEFAULT_REPLICAS,
-                    "invalid_cluster_replicas", 1)
+    return _REPLICAS.read()
 
 
 def cluster_hedge_ms() -> int:
     """Hedge threshold in milliseconds (``REPRO_CLUSTER_HEDGE_MS``)."""
-    return _int_env(HEDGE_ENV, DEFAULT_HEDGE_MS,
-                    "invalid_cluster_hedge_ms", 1)
+    return _HEDGE_MS.read()
 
 
 def cluster_max_attempts() -> int:
     """Attempt budget per request (``REPRO_CLUSTER_RETRIES``)."""
-    return _int_env(RETRIES_ENV, DEFAULT_RETRIES,
-                    "invalid_cluster_retries", 1)
+    return _RETRIES.read()
 
 
 @dataclass(frozen=True)
@@ -222,7 +202,7 @@ class Cluster:
         )
         self.routing = routing
         if fault_plan is None:
-            fault_plan = parse_fault_plan(os.environ.get(FAULTS_ENV))
+            fault_plan = parse_fault_plan(_FAULTS.current)
         self.fault_plan = fault_plan
         device_kwargs: Dict[str, Any] = {}
         if store_capacity is not None:
@@ -918,10 +898,6 @@ class Cluster:
 __all__ = [
     "Cluster",
     "ClusterResult",
-    "DEFAULT_DEVICES",
-    "DEFAULT_HEDGE_MS",
-    "DEFAULT_REPLICAS",
-    "DEFAULT_RETRIES",
     "DEVICES_ENV",
     "FAILURE_THRESHOLD",
     "HEDGE_ENV",

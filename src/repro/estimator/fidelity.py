@@ -16,18 +16,18 @@ Two runtime knobs govern the tiered-fidelity split:
     exact simulator by the background audit.  Sampling is deterministic
     in the request's work fingerprint so replays audit the same subset.
 
-Invalid values warn once per process and fall back to the default,
-matching the cache/serving knob treatment.
+An invalid tier warns once per process and falls back to the call
+site's default; the audit rate follows the numeric-knob rule of
+:mod:`repro.knobs`.
 """
 
 from __future__ import annotations
 
-import math
-import os
 from typing import Optional
 
 from .. import telemetry
 from ..errors import ConfigError
+from ..knobs import knob
 
 FIDELITY_ENV = "REPRO_FIDELITY"
 AUDIT_RATE_ENV = "REPRO_AUDIT_RATE"
@@ -35,8 +35,11 @@ AUDIT_RATE_ENV = "REPRO_AUDIT_RATE"
 #: Valid ``REPRO_FIDELITY`` values.
 FIDELITY_TIERS = ("exact", "estimate", "auto")
 
+_FIDELITY = knob(FIDELITY_ENV)
+_AUDIT_RATE = knob(AUDIT_RATE_ENV)
+
 #: Default fraction of estimate-tier responses audited through exact.
-DEFAULT_AUDIT_RATE = 0.05
+DEFAULT_AUDIT_RATE = _AUDIT_RATE.default_value
 
 
 def resolve_fidelity(
@@ -55,9 +58,9 @@ def resolve_fidelity(
                 f"expected one of {', '.join(FIDELITY_TIERS)}"
             )
         return tier
-    raw = os.environ.get(FIDELITY_ENV)
+    raw = _FIDELITY.current
     if raw is not None:
-        tier = raw.strip().lower()
+        tier = raw.lower()
         if tier in FIDELITY_TIERS:
             return tier
         telemetry.warn_once(
@@ -68,47 +71,15 @@ def resolve_fidelity(
     return default
 
 
-def resolve_audit_rate(
-    value: Optional[float] = None, default: float = DEFAULT_AUDIT_RATE
-) -> float:
+def resolve_audit_rate(value: Optional[float] = None) -> float:
     """Resolve the audit sampling rate: explicit > environment > default.
 
-    Finite values are clamped to [0, 1].  An environment value that is
-    unparseable or non-finite (``nan``/``inf`` — which would slip
-    through a min/max clamp or silently pin the rate) warns once and
-    falls back to the default; a finite out-of-range value warns once
-    and clamps — the serving-knob convention.
+    An explicit value is clamped to [0, 1]; the environment value is
+    read under the knob rule of :mod:`repro.knobs`.
     """
     if value is not None:
         return min(max(float(value), 0.0), 1.0)
-    raw = os.environ.get(AUDIT_RATE_ENV)
-    if raw is not None:
-        try:
-            parsed = float(raw)
-        except ValueError:
-            telemetry.warn_once(
-                "invalid_audit_rate",
-                f"{AUDIT_RATE_ENV}={raw!r} is not a float; "
-                f"using {default}",
-            )
-            return default
-        if not math.isfinite(parsed):
-            telemetry.warn_once(
-                "invalid_audit_rate",
-                f"{AUDIT_RATE_ENV}={raw!r} is not a finite float; "
-                f"using {default}",
-            )
-            return default
-        if parsed < 0.0 or parsed > 1.0:
-            clamped = min(max(parsed, 0.0), 1.0)
-            telemetry.warn_once(
-                "invalid_audit_rate",
-                f"{AUDIT_RATE_ENV}={raw!r} is outside [0, 1]; "
-                f"clamping to {clamped:g}",
-            )
-            return clamped
-        return parsed
-    return default
+    return _AUDIT_RATE.read()
 
 
 def audit_draw(work_fingerprint: str) -> float:

@@ -13,19 +13,21 @@ does: duplicates summed, explicit zeros dropped.
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 from typing import Optional, Tuple, Union
 
 from ..errors import DatasetError
 from ..formats.coo import COOMatrix
 from ..formats.io import load_matrix_market, load_snap_edgelist
+from ..knobs import knob
 from .named import NAMED_MATRICES, generate_named
 
 _PathLike = Union[str, Path]
 
 #: Environment variable naming the local dataset directory.
 DATA_DIR_ENV = "REPRO_DATA_DIR"
+
+_DATA_DIR = knob(DATA_DIR_ENV)
 
 _SUFFIXES = (".mtx", ".mtx.gz", ".txt", ".txt.gz")
 
@@ -56,7 +58,7 @@ def load_named(
     if name not in NAMED_MATRICES:
         known = ", ".join(sorted(NAMED_MATRICES))
         raise DatasetError(f"unknown matrix {name!r}; known: {known}")
-    directory = data_dir or os.environ.get(DATA_DIR_ENV)
+    directory = data_dir or _DATA_DIR.current
     if directory:
         path = dataset_path(name, directory)
         if path is not None:

@@ -58,6 +58,7 @@ from typing import Callable, Dict, List, Optional
 
 from .. import telemetry
 from ..errors import FormatError, SchedulingError
+from ..knobs import knob
 from ..scheduling.base import TiledSchedule
 from ..scheduling.serialize import deserialize_schedule, serialize_schedule
 
@@ -65,10 +66,8 @@ PIPELINE_CACHE_SIZE = "REPRO_PIPELINE_CACHE_SIZE"
 SCHEDULE_CACHE_SIZE = "REPRO_SCHEDULE_CACHE_SIZE"
 SCHEDULE_CACHE_DIR = "REPRO_SCHEDULE_CACHE_DIR"
 
-#: Budget knob → (default, unit for the fallback warning).
 _BUDGETS = {
-    PIPELINE_CACHE_SIZE: (64, "artifacts"),
-    SCHEDULE_CACHE_SIZE: (16, "schedules"),
+    name: knob(name) for name in (PIPELINE_CACHE_SIZE, SCHEDULE_CACHE_SIZE)
 }
 
 
@@ -124,7 +123,7 @@ class ArtifactStore:
 
     def __init__(
         self,
-        capacity: int = _BUDGETS[PIPELINE_CACHE_SIZE][0],
+        capacity: int = _BUDGETS[PIPELINE_CACHE_SIZE].default_value,
         schedule_capacity: Optional[int] = None,
         disk_dir: Optional[str] = None,
     ):
@@ -254,26 +253,10 @@ class ArtifactStore:
             self.last_pass_stats = None
 
 
-def budget_from_env(knob: str) -> int:
-    """A cache-budget knob's value; its default when unset or invalid.
-
-    An unparsable value (``REPRO_PIPELINE_CACHE_SIZE=lots``) falls back
-    to the default with a one-time warning through the telemetry/logging
-    path (matching ``REPRO_CORPUS_WORKERS``).
-    """
-    default, unit = _BUDGETS[knob]
-    raw = os.environ.get(knob, "").strip()
-    if not raw:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        telemetry.warn_once(
-            f"invalid_{knob[len('REPRO_'):].lower()}",
-            f"{knob}={raw!r} is not an integer; "
-            f"falling back to the default ({default} {unit})",
-        )
-        return default
+def budget_from_env(name: str) -> int:
+    """A cache-budget knob's value (``REPRO_PIPELINE_CACHE_SIZE`` or
+    ``REPRO_SCHEDULE_CACHE_SIZE``), read under the knob rule."""
+    return _BUDGETS[name].read()
 
 
 _GLOBAL: Optional[ArtifactStore] = None
@@ -291,6 +274,6 @@ def global_artifact_store() -> ArtifactStore:
         _GLOBAL = ArtifactStore(
             capacity=budget_from_env(PIPELINE_CACHE_SIZE),
             schedule_capacity=budget_from_env(SCHEDULE_CACHE_SIZE),
-            disk_dir=os.environ.get(SCHEDULE_CACHE_DIR) or None,
+            disk_dir=knob(SCHEDULE_CACHE_DIR).current,
         )
     return _GLOBAL

@@ -192,10 +192,6 @@ class PassManager:
         #: Aggregated migration bookkeeping of the last :meth:`run`.
         self.last_report: Optional[MigrationReport] = None
 
-    def signature_chain(self) -> Tuple[Tuple[object, ...], ...]:
-        """Per-pass signatures, in order (the digest-chain skeleton)."""
-        return tuple(p.signature() for p in self.passes)
-
     def run(
         self,
         matrix,

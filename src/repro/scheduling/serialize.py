@@ -30,15 +30,8 @@ import numpy as np
 
 from ..config import AcceleratorConfig
 from ..errors import FormatError, SchedulingError
-from ..formats.element import (
-    COL_BITS,
-    PE_SRC_BITS,
-    ROW_BITS,
-    PackedElement,
-    pack_element,
-    unpack_element,
-)
-from .base import ChannelGrid, Schedule, ScheduledElement, TiledSchedule
+from ..formats.element import COL_BITS, PE_SRC_BITS, ROW_BITS
+from .base import ChannelGrid, Schedule, TiledSchedule
 
 MAGIC = b"CHSN"
 VERSION = 1
@@ -54,33 +47,6 @@ _VALUE_SHIFT = _ROW_SHIFT + ROW_BITS
 _ROW_MAX = (1 << ROW_BITS) - 1
 _PE_SRC_MAX = (1 << PE_SRC_BITS) - 1
 _COL_MAX = (1 << COL_BITS) - 1
-
-
-def _element_to_word(
-    element: ScheduledElement, channel_id: int, channels: int
-) -> int:
-    pvt = element.origin_channel == channel_id
-    if not pvt:
-        offset = (element.origin_channel - channel_id) % channels
-        if offset != 1:
-            raise SchedulingError(
-                "the §3.2 wire format encodes only immediate-next-channel "
-                f"migration; found an element from {offset} channels away"
-            )
-    packed = PackedElement(
-        value=element.value,
-        row=element.row,
-        col=element.col,
-        pvt=pvt,
-        pe_src=element.origin_pe,
-    )
-    word = pack_element(packed)
-    if word == _STALL_WORD and element.value == 0.0:
-        raise SchedulingError(
-            "cannot serialize a zero-valued non-zero: it is "
-            "indistinguishable from a stall word (§2.2)"
-        )
-    return word
 
 
 def _grid_words(grid: ChannelGrid, length: int, channels: int) -> np.ndarray:

@@ -43,13 +43,13 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import os
 import threading
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .. import telemetry
 from ..errors import ReproError, ServingError
+from ..knobs import knob
 from ..telemetry import tracing
 from ..telemetry.tracing import TraceContext
 from ..estimator.calibration import DEFAULT_CALIBRATION, CalibrationTable
@@ -66,7 +66,6 @@ from ..scheduling.registry import get_scheme
 from ..tenancy import TenantPolicy, policy_from_env
 from ..tenancy.fair_queue import FairAdmissionQueue
 from ..tenancy.tenant import normalize_tenant
-from .queue import DEFAULT_CAPACITY
 from .resident import ResidentStateStore
 from .request import (
     STATUS_ERROR,
@@ -82,8 +81,9 @@ WORKERS_ENV = "REPRO_SERVE_WORKERS"
 QUEUE_ENV = "REPRO_SERVE_QUEUE"
 BATCH_ENV = "REPRO_SERVE_BATCH"
 
-DEFAULT_WORKERS = 4
-DEFAULT_BATCH = 8
+_WORKERS = knob(WORKERS_ENV)
+_QUEUE = knob(QUEUE_ENV)
+_BATCH = knob(BATCH_ENV)
 
 
 class _SessionSpec:
@@ -102,39 +102,19 @@ class _SessionSpec:
 _SESSION_SPEC = _SessionSpec()
 
 
-def _int_env(env: str, default: int, warn_key: str, minimum: int) -> int:
-    """Parse an integer knob, falling back (with a one-time warning) on
-    garbage — the ``REPRO_CORPUS_WORKERS`` convention."""
-    raw = os.environ.get(env, "").strip()
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        telemetry.warn_once(
-            warn_key,
-            f"{env}={raw!r} is not an integer; "
-            f"falling back to the default ({default})",
-        )
-        return default
-    return max(value, minimum)
-
-
 def serve_worker_count() -> int:
     """Configured worker-thread count (``REPRO_SERVE_WORKERS``)."""
-    return _int_env(WORKERS_ENV, DEFAULT_WORKERS,
-                    "invalid_serve_workers", 1)
+    return _WORKERS.read()
 
 
 def serve_queue_capacity() -> int:
     """Configured admission-queue capacity (``REPRO_SERVE_QUEUE``)."""
-    return _int_env(QUEUE_ENV, DEFAULT_CAPACITY,
-                    "invalid_serve_queue", 1)
+    return _QUEUE.read()
 
 
 def serve_max_batch() -> int:
     """Configured micro-batch limit (``REPRO_SERVE_BATCH``)."""
-    return _int_env(BATCH_ENV, DEFAULT_BATCH, "invalid_serve_batch", 1)
+    return _BATCH.read()
 
 
 class _Entry:
@@ -467,26 +447,7 @@ class ServingEngine:
                 # shared execution honours the most urgent caller.
                 self.queue.reprioritize(coalesced_onto, entry.priority)
                 return Ticket(entry=entry)
-            admitted, displaced, expired = self.queue.push(entry, now=now)
-            for stale in expired:
-                self._finish_expired(stale)
-            if displaced is not None:
-                self._finish_shed(
-                    displaced,
-                    "displaced by higher-priority request",
-                    reason_key="displaced",
-                )
-            if not admitted:
-                reason, reason_key = self._overload_reason(entry.tenant)
-                self._finish_shed(entry, reason, reason_key=reason_key)
-                return Ticket(entry=entry)
-            self.ledger.admit(entry.tenant)
-            if t.enabled:
-                t.counter("serving.accepted", 1, scheme=spec.name)
-                t.counter("serving.tenant.accepted", 1,
-                          tenant=entry.tenant)
-                t.gauge("serving.queue_depth", len(self.queue))
-            return Ticket(entry=entry)
+            return self._admit(entry, now, t)
 
     def _submit_session(self, request: SpMVRequest, now: float,
                         trace, owns_root: bool, t) -> Ticket:
@@ -507,6 +468,13 @@ class ServingEngine:
             ),
             now=now, trace=trace, owns_root=owns_root,
         )
+        return self._admit(entry, now, t)
+
+    def _admit(self, entry: _Entry, now: float, t) -> Ticket:
+        """Push ``entry`` onto the admission queue and settle the
+        outcome of every entry the push decided: expired entries it
+        swept, the entry it displaced, and ``entry`` itself when the
+        queue refused it."""
         admitted, displaced, expired = self.queue.push(entry, now=now)
         for stale in expired:
             self._finish_expired(stale)
@@ -522,7 +490,7 @@ class ServingEngine:
             return Ticket(entry=entry)
         self.ledger.admit(entry.tenant)
         if t.enabled:
-            t.counter("serving.accepted", 1, scheme="session")
+            t.counter("serving.accepted", 1, scheme=entry.spec.name)
             t.counter("serving.tenant.accepted", 1, tenant=entry.tenant)
             t.gauge("serving.queue_depth", len(self.queue))
         return Ticket(entry=entry)

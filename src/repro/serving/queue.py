@@ -25,8 +25,7 @@ import threading
 import time
 from typing import Any, Callable, List, Optional, Tuple
 
-#: Default capacity (overridden by ``REPRO_SERVE_QUEUE`` via the engine).
-DEFAULT_CAPACITY = 256
+from ..tenancy.fair_queue import DEFAULT_CAPACITY
 
 
 class AdmissionQueue:
@@ -160,8 +159,3 @@ class AdmissionQueue:
             self._items = []
             self._cond.notify_all()
             return items
-
-    def wake_all(self) -> None:
-        """Wake blocked poppers (used when the engine starts draining)."""
-        with self._cond:
-            self._cond.notify_all()

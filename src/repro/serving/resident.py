@@ -17,35 +17,25 @@ as the system of record.
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from typing import Any, Dict, Optional
 
 from .. import telemetry
+from ..knobs import knob
 
 STATE_BUDGET_ENV = "REPRO_SESSION_STATE_BUDGET"
 
+_STATE_BUDGET = knob(STATE_BUDGET_ENV)
+
 #: 64 MiB of iterates and replay plans ≈ thousands of small sessions.
-DEFAULT_STATE_BUDGET = 64 * 1024 * 1024
+DEFAULT_STATE_BUDGET = _STATE_BUDGET.default_value
 
 
 def session_state_budget() -> int:
     """Configured resident-state byte budget
-    (``REPRO_SESSION_STATE_BUDGET``), warn-once fallback on garbage."""
-    raw = os.environ.get(STATE_BUDGET_ENV, "").strip()
-    if not raw:
-        return DEFAULT_STATE_BUDGET
-    try:
-        value = int(raw)
-    except ValueError:
-        telemetry.warn_once(
-            "invalid_session_state_budget",
-            f"{STATE_BUDGET_ENV}={raw!r} is not an integer; "
-            f"falling back to the default ({DEFAULT_STATE_BUDGET})",
-        )
-        return DEFAULT_STATE_BUDGET
-    return max(value, 0)
+    (``REPRO_SESSION_STATE_BUDGET``)."""
+    return _STATE_BUDGET.read()
 
 
 class ResidentStateStore:

@@ -32,8 +32,6 @@ from .programs import (
 )
 from .session import SolverSession
 from .spec import (
-    DEFAULT_ITER_BATCH,
-    DEFAULT_SESSION_MAX,
     ITER_BATCH_ENV,
     SESSION_MAX_ENV,
     SessionSpec,
@@ -43,8 +41,6 @@ from .spec import (
 from .work import FetchWork, ResidentEntry, StepWork
 
 __all__ = [
-    "DEFAULT_ITER_BATCH",
-    "DEFAULT_SESSION_MAX",
     "FetchWork",
     "ITER_BATCH_ENV",
     "ResidentEntry",

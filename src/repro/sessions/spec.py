@@ -15,13 +15,12 @@ and are inherited by every iteration the session submits.
 from __future__ import annotations
 
 import dataclasses
-import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
-from .. import telemetry
 from ..config import AcceleratorConfig
 from ..errors import ConfigError
+from ..knobs import knob
 from ..pipeline.fingerprint import fingerprint, fingerprint_config
 from ..pipeline.stages import LoadStage
 from ..scheduling.registry import get_scheme
@@ -30,38 +29,19 @@ from ..tenancy import DEFAULT_TENANT
 SESSION_MAX_ENV = "REPRO_SESSION_MAX"
 ITER_BATCH_ENV = "REPRO_SESSION_ITER_BATCH"
 
-DEFAULT_SESSION_MAX = 4096
-DEFAULT_ITER_BATCH = 8
-
-
-def _int_env(env: str, default: int, warn_key: str, minimum: int) -> int:
-    """Integer knob with the warn-once fallback convention."""
-    raw = os.environ.get(env, "").strip()
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        telemetry.warn_once(
-            warn_key,
-            f"{env}={raw!r} is not an integer; "
-            f"falling back to the default ({default})",
-        )
-        return default
-    return max(value, minimum)
+_SESSION_MAX = knob(SESSION_MAX_ENV)
+_ITER_BATCH = knob(ITER_BATCH_ENV)
 
 
 def session_max() -> int:
     """Configured concurrent-session limit (``REPRO_SESSION_MAX``)."""
-    return _int_env(SESSION_MAX_ENV, DEFAULT_SESSION_MAX,
-                    "invalid_session_max", 1)
+    return _SESSION_MAX.read()
 
 
 def session_iter_batch() -> int:
     """Configured iterations per admitted work item
     (``REPRO_SESSION_ITER_BATCH``)."""
-    return _int_env(ITER_BATCH_ENV, DEFAULT_ITER_BATCH,
-                    "invalid_session_iter_batch", 1)
+    return _ITER_BATCH.read()
 
 
 @dataclass(frozen=True)

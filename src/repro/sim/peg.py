@@ -83,10 +83,6 @@ class ProcessingElementGroup:
             pe.stats.idle_cycles += grid.length - int(counts[pe_id])
         self.cycles_consumed += grid.length
 
-    def reset_partial_sums(self) -> None:
-        for pe in self.pes:
-            pe.reset()
-
     # -- aggregate statistics -------------------------------------------------
 
     @property

@@ -17,11 +17,6 @@ from .steps import jacobi_init, jacobi_split, jacobi_step
 Matrix = Union[COOMatrix, CSRMatrix]
 
 
-def _split(matrix: COOMatrix):
-    """A = D + R: the diagonal and the off-diagonal remainder."""
-    return jacobi_split(matrix)
-
-
 def jacobi(
     accelerator: StreamingAccelerator,
     matrix: Matrix,

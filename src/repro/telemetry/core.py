@@ -45,12 +45,12 @@ from __future__ import annotations
 
 import atexit
 import logging
-import os
 import threading
 import time
 import uuid
 from typing import Any, Dict, List, Optional, Tuple, Union
 
+from ..knobs import knob
 from . import tracing
 from .hist import Histogram
 from .sinks import JsonlSink, MemorySink, Sink
@@ -428,8 +428,8 @@ _active: Optional[TelemetryLike] = None
 
 
 def _from_env() -> TelemetryLike:
-    target = os.environ.get(TELEMETRY_ENV, "").strip()
-    if not target:
+    target = knob(TELEMETRY_ENV).current
+    if target is None:
         return NULL
     telemetry = Telemetry(JsonlSink(target))
     atexit.register(telemetry.close)

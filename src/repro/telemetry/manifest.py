@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import Any, Dict, Optional
 
 from ..config import DEFAULT_CHASON, DEFAULT_SERPENS
+from ..knobs import knob
 from . import core
 
 
@@ -50,9 +51,7 @@ _HASHED_ENV_KNOBS = ("REPRO_FIDELITY", "REPRO_AUDIT_RATE",
 
 
 def _fidelity_env() -> Dict[str, Optional[str]]:
-    return {
-        knob: (os.environ.get(knob) or None) for knob in _HASHED_ENV_KNOBS
-    }
+    return {name: knob(name).current for name in _HASHED_ENV_KNOBS}
 
 
 def config_hash() -> str:
@@ -89,7 +88,7 @@ def build_manifest(
         "config_hash": config_hash(),
         "workers": workers if workers is not None else corpus_worker_count(),
         "telemetry_run_id": telemetry.run_id if telemetry.enabled else None,
-        "telemetry_sink": os.environ.get(core.TELEMETRY_ENV) or None,
+        "telemetry_sink": knob(core.TELEMETRY_ENV).current,
         "fidelity_env": _fidelity_env(),
     }
     if extra:

@@ -35,16 +35,15 @@ from __future__ import annotations
 
 import contextvars
 import itertools
-import os
 import uuid
 from dataclasses import dataclass
 from typing import Any, Optional
 
+from ..knobs import knob
+
 TRACE_SAMPLE_ENV = "REPRO_TRACE_SAMPLE"
 
-#: Default sampling fraction: trace every request (telemetry must
-#: already be enabled for tracing to do anything at all).
-DEFAULT_TRACE_SAMPLE = 1.0
+_SAMPLE = knob(TRACE_SAMPLE_ENV)
 
 #: Process-wide span id source.  Span ids only need to be unique within
 #: one process's records (parent references never cross processes).
@@ -134,35 +133,15 @@ class scope:
             self._token = None
 
 
-def resolve_trace_sample(
-    value: Optional[float] = None, default: float = DEFAULT_TRACE_SAMPLE
-) -> float:
+def resolve_trace_sample(value: Optional[float] = None) -> float:
     """Resolve the trace sampling fraction: explicit > env > default.
 
-    Clamped to [0, 1]; an unparseable or non-finite environment value
-    warns once and falls back, the serving-knob convention.
+    An explicit value is clamped to [0, 1]; the environment value is
+    read under the knob rule of :mod:`repro.knobs`.
     """
-    from . import core  # function-local: core imports this module
-
     if value is not None:
         return min(max(float(value), 0.0), 1.0)
-    raw = os.environ.get(TRACE_SAMPLE_ENV)
-    if raw is not None and raw.strip():
-        try:
-            parsed = float(raw)
-        except ValueError:
-            parsed = None
-        if parsed is None or parsed != parsed or parsed in (
-            float("inf"), float("-inf"),
-        ):
-            core.warn_once(
-                "invalid_trace_sample",
-                f"{TRACE_SAMPLE_ENV}={raw!r} is not a finite float; "
-                f"using {default}",
-            )
-            return default
-        return min(max(parsed, 0.0), 1.0)
-    return default
+    return _SAMPLE.read()
 
 
 def sample_draw(request_id: int) -> float:

@@ -42,10 +42,11 @@ import threading
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from ..knobs import knob
 from .tenant import DEFAULT_TENANT, TenantPolicy
 
 #: Default capacity, shared with the plain admission queue.
-DEFAULT_CAPACITY = 256
+DEFAULT_CAPACITY = knob("REPRO_SERVE_QUEUE").default_value
 
 _Key = Tuple[int, int]
 
@@ -383,14 +384,6 @@ class FairAdmissionQueue:
         """Queued entries of one tenant."""
         with self._cond:
             return len(self._sub(tenant))
-
-    def tenant_depths(self) -> Dict[str, int]:
-        """Queued entries per tenant (non-empty tenants only)."""
-        with self._cond:
-            return {
-                tenant: len(sub)
-                for tenant, sub in self._subqueues.items()
-            }
 
     def tenant_quota(self) -> int:
         """The per-tenant entry cap under the current policy."""

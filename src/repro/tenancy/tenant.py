@@ -21,19 +21,21 @@ The policy itself is three numbers:
   batch-class entries become preferred shed victims (see
   :mod:`repro.tenancy.fair_queue`).
 
-All three follow the repo's warn-once fallback convention: garbage in
-the environment logs one warning and falls back to the default, it
-never raises.
+Garbage in the environment logs one warning and degrades, it never
+raises: malformed weights fall back to uniform weights, and the two
+numbers follow the numeric-knob rule of :mod:`repro.knobs` (an
+unparsable or non-finite value gives the default, an out-of-range one
+clamps).
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional
 
 from .. import telemetry
+from ..knobs import knob
 
 #: The tenant every request without an explicit tenant belongs to.
 DEFAULT_TENANT = "default"
@@ -50,14 +52,18 @@ WEIGHTS_ENV = "REPRO_TENANT_WEIGHTS"
 QUOTA_ENV = "REPRO_TENANT_QUOTA"
 BURN_SHED_ENV = "REPRO_TENANT_BURN_SHED"
 
+_WEIGHTS = knob(WEIGHTS_ENV)
+_QUOTA = knob(QUOTA_ENV)
+_BURN_SHED = knob(BURN_SHED_ENV)
+
 #: Default quota fraction: one tenant may fill the whole queue (the
 #: pre-tenancy behavior).
-DEFAULT_QUOTA_FRACTION = 1.0
+DEFAULT_QUOTA_FRACTION = _QUOTA.default_value
 
 #: Default interactive fast-window burn rate above which batch-class
 #: entries shed first.  1.0 = "spending the error budget exactly as
 #: fast as it accrues" — the standard paging threshold.
-DEFAULT_BURN_SHED = 1.0
+DEFAULT_BURN_SHED = _BURN_SHED.default_value
 
 
 def normalize_tenant(raw: Optional[str]) -> str:
@@ -78,7 +84,7 @@ def parse_tenant_weights(raw: Optional[str] = None) -> Dict[str, float]:
     degradation.
     """
     if raw is None:
-        raw = os.environ.get(WEIGHTS_ENV)
+        raw = _WEIGHTS.current
     if not raw or not raw.strip():
         return {}
     weights: Dict[str, float] = {}
@@ -115,42 +121,14 @@ def parse_tenant_weights(raw: Optional[str] = None) -> Dict[str, float]:
     return weights
 
 
-def _float_env(env: str, default: float, warn_key: str,
-               minimum: float, maximum: Optional[float] = None) -> float:
-    """Float knob with the warn-once fallback convention."""
-    raw = os.environ.get(env, "").strip()
-    if not raw:
-        return default
-    try:
-        value = float(raw)
-    except ValueError:
-        telemetry.warn_once(
-            warn_key,
-            f"{env}={raw!r} is not a number; "
-            f"falling back to the default ({default})",
-        )
-        return default
-    if value < minimum or (maximum is not None and value > maximum):
-        telemetry.warn_once(
-            warn_key,
-            f"{env}={raw!r} is out of range "
-            f"[{minimum:g}, {maximum if maximum is not None else 'inf'}]; "
-            f"falling back to the default ({default})",
-        )
-        return default
-    return value
-
-
 def tenant_quota_fraction() -> float:
     """Configured per-tenant queue-share cap (``REPRO_TENANT_QUOTA``)."""
-    return _float_env(QUOTA_ENV, DEFAULT_QUOTA_FRACTION,
-                      "invalid_tenant_quota", 0.0, 1.0)
+    return _QUOTA.read()
 
 
 def tenant_burn_shed_threshold() -> float:
     """Configured burn-shed threshold (``REPRO_TENANT_BURN_SHED``)."""
-    return _float_env(BURN_SHED_ENV, DEFAULT_BURN_SHED,
-                      "invalid_tenant_burn_shed", 0.0)
+    return _BURN_SHED.read()
 
 
 @dataclass(frozen=True)
@@ -186,7 +164,7 @@ class TenantPolicy:
 def policy_from_env() -> TenantPolicy:
     """The :class:`TenantPolicy` the ``REPRO_TENANT_*`` knobs describe."""
     return TenantPolicy(
-        weights=parse_tenant_weights(os.environ.get(WEIGHTS_ENV)),
+        weights=parse_tenant_weights(),
         quota_fraction=tenant_quota_fraction(),
         burn_shed_threshold=tenant_burn_shed_threshold(),
     )

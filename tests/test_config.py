@@ -141,3 +141,21 @@ def test_knob_inventory_is_one_list():
         )
     assert "REPRO_TELEMETRY" in literals  # the scan finds knobs at all
     assert literals <= names
+
+
+def test_only_the_knob_table_reads_the_environment():
+    """``repro.knobs`` is the one home of the ``REPRO_*`` knobs: no other
+    module under ``src/`` reads ``os.environ`` or calls ``os.getenv``."""
+    readers = set()
+    for path in (REPO / "src").rglob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "os"
+                    and node.attr in ("environ", "getenv")):
+                readers.add(path.relative_to(REPO / "src").as_posix())
+            elif (isinstance(node, ast.ImportFrom) and node.module == "os"
+                    and {a.name for a in node.names} & {"environ", "getenv"}):
+                readers.add(path.relative_to(REPO / "src").as_posix())
+    assert readers == {"repro/knobs.py"}

@@ -1,5 +1,7 @@
 """Schedule serialization in the §3.2 wire format."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,28 @@ class TestErrors:
         if schedule.migrated_count == 0:  # pragma: no cover - data dep.
             pytest.skip("no migration happened")
         with pytest.raises(SchedulingError):
+            serialize_schedule(schedule)
+
+    def test_zero_from_the_next_channel_is_a_stall_word(
+        self, small_chason, skewed_matrix
+    ):
+        """A 0.0 migrated from the next channel, at row 0, column 0 and
+        PE_src 0, packs to the all-zero stall word (§2.2)."""
+        schedule = schedule_crhcs(skewed_matrix, small_chason)
+        channels = small_chason.sparse_channels
+        tile, grid, key, element = next(
+            (tile, grid, (cycle, pe), element)
+            for tile in schedule.tiles
+            for grid in tile.grids
+            for cycle, pe, element in grid.iter_elements()
+            if element.origin_channel == (grid.channel_id + 1) % channels
+        )
+        zero = copy.deepcopy(grid)
+        zero.occupied[key] = element._replace(
+            value=0.0, row=0, col=0, origin_pe=0
+        )
+        tile.grids[tile.grids.index(grid)] = zero
+        with pytest.raises(SchedulingError, match="stall word"):
             serialize_schedule(schedule)
 
     def test_bad_magic(self, small_chason):
