@@ -285,6 +285,7 @@ class ChannelGrid:
             plane.reshape(-1)[flat] = field
             plane.setflags(write=False)
             planes.append(plane)
+        value, row, col, origin_channel, origin_pe = planes
         grids = []
         for c, (lo, hi, count, top) in enumerate(zip(
             offsets[:-1].tolist(), offsets[1:].tolist(),
@@ -292,7 +293,9 @@ class ChannelGrid:
         )):
             grids.append(cls._from_planes(
                 c, pes, hi - lo if length is None else length,
-                tuple(plane[lo:hi] for plane in planes), count, top,
+                (value[lo:hi], row[lo:hi], col[lo:hi],
+                 origin_channel[lo:hi], origin_pe[lo:hi]),
+                count, top,
             ))
         return grids
 

@@ -134,7 +134,10 @@ def migrate_elements(
        pes + pe``).  From it build each channel's occupancy over the
        equalised length, the longest of the table's list lengths (one
        byte per slot), and its own elements (slots and compact row ids,
-       as plain Python lists).
+       as plain Python lists).  A row's id is its rank among the
+       distinct own rows, read from a presence table and a rank table
+       as long as the tile's largest own row: O(rows in the tile), no
+       sort.
     2. *Walk.*  Each (destination, donor) step walks the destination's
        slots in stream order with a running PE index, passing occupied
        slots.  A donor's candidate queue is its own-element list read
@@ -149,9 +152,12 @@ def migrate_elements(
        until a take, so every hole jumped over would fail the same scan,
        and it is counted in ``raw_skips`` as if scanned
        (``scheduler.crhcs.jumped_holes`` counts them).
-    3. *Lay out.*  When the ring finishes, every moved element's channel
-       and slot are overwritten at once, and the grids are laid out in
-       one allocation with one scatter per field
+    3. *Lay out.*  The walk appends every take of the ring to one flat
+       pair of lists (donor slots and destination holes), so each is
+       converted to an array once.  When the ring finishes, a dense
+       table from flat slot key to element finds every moved element,
+       whose channel and slot are overwritten at once, and the grids are
+       laid out in one allocation with one scatter per field
        (:meth:`ChannelGrid.tile_grids`), so each ``capacity`` is the
        last occupied cycle + 1 and the planes are read-only.
 
@@ -180,7 +186,7 @@ def migrate_elements(
 
     # §3.1: the data lists are resized to the longest one; the padded
     # stalls of short (even empty) channels are exactly the slots
-    # migration fills.  ``keys`` (channel-major flat slots) ascend.
+    # migration fills.  ``keys`` are the channel-major flat slots.
     longest = max(elements.lengths)
     end = longest * pes
     keys = elem_channels * end + elem_slots
@@ -190,11 +196,17 @@ def migrate_elements(
         bytearray(occupied[c * end:(c + 1) * end]) for c in range(channels)
     ]
     # A donor's queue is its own elements in stream order, so the queue
-    # front (its latest element) is the end of the list.
+    # front (its latest element) is the end of the list.  A row's id is
+    # its rank among the distinct own rows (``row_ids``).
     own = elem_origin_channels == elem_channels
-    row_ids, candidate_rows = np.unique(elem_rows[own], return_inverse=True)
+    own_rows = elem_rows[own]
+    present = np.zeros(int(own_rows.max(initial=-1)) + 1, dtype=bool)
+    present[own_rows] = True
+    row_ids = np.flatnonzero(present)
+    rank = np.empty(present.size, dtype=np.intp)
+    rank[row_ids] = np.arange(row_ids.size)
+    candidate_rows = rank[own_rows].tolist()
     candidate_slots = elem_slots[own].tolist()
-    candidate_rows = candidate_rows.tolist()
     bounds = np.searchsorted(
         elem_channels[own], np.arange(channels + 1)
     ).tolist()
@@ -211,8 +223,12 @@ def migrate_elements(
     reach = distance * pes
     base = 0
 
-    # Phase 2.
-    moves: List[Tuple[int, int, List[int], List[int]]] = []
+    # Phase 2.  Every step's takes go on one flat pair of lists:
+    # ``taken`` (the donor slots) and ``filled`` (the destination holes),
+    # with one (destination, donor, count) entry per step in ``steps``.
+    taken: List[int] = []
+    filled: List[int] = []
+    steps: List[Tuple[int, int, int]] = []
     prefix_slots = 0
     walk_slots = 0
     jumped_holes = 0
@@ -226,8 +242,7 @@ def migrate_elements(
             if not slots:
                 continue
             donor_occ = occupancy[donor_id]
-            taken: List[int] = []
-            filled: List[int] = []
+            start = len(taken)
             raw_skips = 0
             # The step's prefix (``scheduler.crhcs.prefix_slots``): slots
             # filled before its first RAW skip, counted only while nothing
@@ -257,7 +272,7 @@ def migrate_elements(
                     slot = slots.pop()
                 else:
                     if prefix < 0:
-                        prefix = len(taken)
+                        prefix = len(taken) - start
                     front = len(rows) - 1
                     stop = front - steal_tries
                     if stop < -1:
@@ -308,9 +323,9 @@ def migrate_elements(
                 if not slots:
                     break
 
-            migrated_here = len(taken)
+            migrated_here = len(taken) - start
             if migrated_here:
-                moves.append((c, donor_id, taken, filled))
+                steps.append((c, donor_id, migrated_here))
             if not fresh:
                 prefix = 0
             elif prefix < 0:
@@ -332,18 +347,21 @@ def migrate_elements(
         t.counter("scheduler.crhcs.jumped_holes", jumped_holes)
 
     # Phase 3.  A donor's own elements sit at their original slots until
-    # taken, and each is taken at most once, so a taken slot's key finds
-    # the element.
-    if moves:
-        dests, donors, taken, filled = zip(*moves)
-        sizes = [len(step) for step in taken]
-        moved = np.searchsorted(
-            keys, np.repeat(donors, sizes) * end + np.concatenate(taken)
-        )
+    # taken, and each is taken at most once, so a taken slot's key names
+    # the element (``element_at`` is read only at element keys).
+    if steps:
+        dests, donors, sizes = zip(*steps)
+        count = len(taken)
+        element_at = np.empty(channels * end, dtype=np.intp)
+        element_at[keys] = np.arange(keys.size)
+        moved = element_at[
+            np.repeat(donors, sizes) * end
+            + np.fromiter(taken, np.int64, count)
+        ]
         elem_channels = elem_channels.copy()
         elem_slots = elem_slots.copy()
         elem_channels[moved] = np.repeat(dests, sizes)
-        elem_slots[moved] = np.concatenate(filled)
+        elem_slots[moved] = np.fromiter(filled, np.int64, count)
     return ChannelGrid.tile_grids(
         channels, pes, elem_channels, elem_slots, elem_rows, elements.cols,
         elements.values, elem_origin_channels, elements.origin_pes,

@@ -154,19 +154,41 @@ def schedule_single_pe_round_robin(
     return cycles.tolist(), elements.tolist(), length
 
 
+def _stable_order(*keys: np.ndarray) -> np.ndarray:
+    """The order of ``np.lexsort(keys)`` for non-negative integer keys:
+    by the last key, then the one before, ties in input order.
+
+    An LSD radix sort: each pass stably sorts 16 bits of one key, least
+    significant key and bits first, with NumPy's O(n) radix sort of
+    ``uint16``.  No key is combined with another, so no key can
+    overflow, and the cost does not depend on the input's order.
+    """
+    order = None
+    for key in keys:
+        for shift in range(0, max(int(key.max()).bit_length(), 1), 16):
+            digit = (key >> shift).astype(np.uint16)
+            if order is not None:
+                digit = digit[order]
+            step = np.argsort(digit, kind="stable")
+            order = step if order is None else order[step]
+    return order
+
+
 def pe_aware_elements(tile: Tile, config: AcceleratorConfig) -> TileElements:
     """The unequalised PE-aware schedule of one tile, as its element table.
 
     This is the intermediate CrHCS starts from: each channel is as long as
     its own slowest PE, before the global resize of §3.1.
 
-    The whole tile is scheduled in one vectorized pass: a single lexsort
-    puts elements in (global PE, row, column) order, segmented reductions
-    compute each round-robin window's rotation count and base cycle, and
-    every element's slot follows from ``base + rotation × distance +
-    lane`` — no per-element (or per-lane) Python loop.  One more sort
-    puts the elements in channel-major stream order; no plane is laid
-    out (:func:`pe_aware_grids` does that).
+    The whole tile is scheduled in one vectorized pass: one stable radix
+    sort (:func:`_stable_order`, one 16-bit pass per key for the tile
+    coordinates of the U55c windows) puts elements in (global PE, row,
+    column) order with ties in input order, segmented reductions compute
+    each round-robin window's rotation count and base cycle, and every
+    element's slot follows from ``base + rotation × distance + lane`` —
+    no per-element (or per-lane) Python loop.  One more sort puts the
+    elements in channel-major stream order; no plane is laid out
+    (:func:`pe_aware_grids` does that).
     """
     channels_n = config.sparse_channels
     ppc = config.pes_per_channel
@@ -189,7 +211,7 @@ def pe_aware_elements(tile: Tile, config: AcceleratorConfig) -> TileElements:
     # (global PE, row, column) order: each PE's rows ascend, matching the
     # flush-on-window-change walk of schedule_single_pe_round_robin, and
     # each row streams in CSR column order.
-    order = np.lexsort((cols, rows, gpe))
+    order = _stable_order(cols, rows, gpe)
     elem_row = rows[order]
     elem_gpe = gpe[order]
 
@@ -238,11 +260,14 @@ def pe_aware_elements(tile: Tile, config: AcceleratorConfig) -> TileElements:
     elem_channel = elem_gpe // ppc
     elem_slot = elem_cycle * ppc + elem_pe
 
-    # Channel-major stream order (the slots are distinct per channel).
-    # A data list ends at its last non-zero; the trailing rotation
-    # stalls of the final window carry no information.
+    # Channel-major stream order (the slots are distinct per channel, so
+    # every sort gives this order; the stable one is the fastest on keys
+    # already in channel-major runs).  A data list ends at its last
+    # non-zero; the trailing rotation stalls of the final window carry
+    # no information.
     stream = np.argsort(
-        elem_channel * (int(elem_slot.max()) + 1) + elem_slot
+        elem_channel * (int(elem_slot.max()) + 1) + elem_slot,
+        kind="stable",
     )
     channels = elem_channel[stream]
     slots = elem_slot[stream]

@@ -248,3 +248,85 @@ def test_all_migrate_regime_matches_legacy(seed):
     _assert_reports_identical(fast_report, slow_report)
     assert fast_report.migrated == 1_800
     assert fast_report.own_issues == 0
+
+
+# -- COO input the generators never produce -----------------------------------
+
+#: Small configurations whose PEs each own several rows in several
+#: round-robin windows of a 200-row matrix (windows of 18 and 80 rows).
+UNSORTED_CONFIGS = (
+    ChasonConfig(sparse_channels=3, pes_per_channel=2, scug_size=2,
+                 accumulator_latency=3, column_window=64),
+    ChasonConfig(sparse_channels=4, pes_per_channel=4, scug_size=4,
+                 accumulator_latency=5, column_window=64),
+)
+
+
+def _shuffled_coo_with_repeats(seed, shape=(200, 150), nnz=1_200):
+    """Entries in random order, about 10 % of them repeating an earlier
+    coordinate with a different value (kept, not summed)."""
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, shape[0], nnz)
+    cols = rng.integers(0, shape[1], nnz)
+    repeat = rng.random(nnz) < 0.1
+    source = rng.integers(0, nnz, int(repeat.sum()))
+    rows[repeat] = rows[source]
+    cols[repeat] = cols[source]
+    return COOMatrix(shape, rows, cols, rng.uniform(0.5, 1.5, nnz))
+
+
+def _assert_both_schemes_match_legacy(matrix, config, max_rows):
+    fast = schedule_pe_aware(matrix, config, max_rows_per_pass=max_rows)
+    slow = legacy_schedule_pe_aware(matrix, config, max_rows_per_pass=max_rows)
+    _assert_schedules_identical(fast, slow)
+    fast_report = MigrationReport()
+    slow_report = MigrationReport()
+    fast = schedule_crhcs(matrix, config, max_rows_per_pass=max_rows,
+                          report=fast_report)
+    slow = legacy_schedule_crhcs(matrix, config, max_rows_per_pass=max_rows,
+                                 report=slow_report)
+    _assert_schedules_identical(fast, slow)
+    _assert_reports_identical(fast_report, slow_report)
+
+
+@pytest.mark.parametrize("max_rows", [0, 64])
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("config", UNSORTED_CONFIGS, ids=["3x2", "4x4"])
+def test_shuffled_coo_with_repeated_coordinates_matches_legacy(
+    config, seed, max_rows
+):
+    """Ties in the build's (PE, row, column) sort keep input order, as
+    the legacy builder's do, so repeated coordinates stream in the order
+    they were given."""
+    matrix = _shuffled_coo_with_repeats(seed)
+    keys = matrix.rows * matrix.n_cols + matrix.cols
+    assert np.unique(keys).size < matrix.nnz
+    assert np.any(np.diff(keys) < 0)
+    _assert_both_schemes_match_legacy(matrix, config, max_rows)
+
+
+@pytest.mark.parametrize("cells", [
+    (),
+    ((5, 7),),
+    ((0, 0), (70, 3), (70, 3), (140, 90)),
+], ids=["empty", "one", "one-per-tile"])
+def test_empty_and_one_element_tiles_match_legacy(cells):
+    """An all-empty matrix (one empty tile) and tiles holding one
+    element (twice at the same coordinate in one of them)."""
+    rows = np.array([row for row, _ in cells], dtype=np.int64)
+    cols = np.array([col for _, col in cells], dtype=np.int64)
+    values = np.linspace(0.5, 1.5, len(cells))
+    matrix = COOMatrix((150, 100), rows, cols, values)
+    for config in UNSORTED_CONFIGS:
+        _assert_both_schemes_match_legacy(matrix, config, 64)
+
+
+def test_coordinates_past_16_bits_match_legacy():
+    """Windows wider than 2^16 rows and columns: the build's sort takes
+    two 16-bit passes on each coordinate."""
+    wide = 1 << 17
+    config = ChasonConfig(sparse_channels=3, pes_per_channel=2, scug_size=2,
+                          accumulator_latency=3, column_window=wide)
+    matrix = _shuffled_coo_with_repeats(3, shape=(wide, wide), nnz=800)
+    assert matrix.rows.max() >= 1 << 16 and matrix.cols.max() >= 1 << 16
+    _assert_both_schemes_match_legacy(matrix, config, wide)

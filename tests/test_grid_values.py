@@ -210,6 +210,26 @@ def test_a_cold_schedule_lays_each_tile_out_once(
     assert layouts["reads"] == 0
 
 
+@pytest.mark.parametrize("nnz, n, max_rows", [
+    (1_800, 128, 0), (20_000, 2048, 256),
+])
+def test_a_cold_crhcs_build_sorts_without_lexsort_or_unique(
+    monkeypatch, nnz, n, max_rows
+):
+    """The PE-aware build orders its elements with stable radix passes
+    and migration numbers its rows with a presence table: neither calls
+    ``np.lexsort`` or ``np.unique`` (once each per tile before)."""
+    matrix = uniform_random(n, n, nnz, seed=0 if n == 128 else 1)
+    calls = {"lexsort": 0, "unique": 0}
+    for name in calls:
+        def counting(*args, _name=name, _real=getattr(np, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np, name, counting)
+    PipelineRunner().schedule(matrix, "crhcs", max_rows_per_pass=max_rows)
+    assert calls == {"lexsort": 0, "unique": 0}
+
+
 def test_reschedule_lays_out_only_what_it_runs(layouts):
     """A warm tile resumed after its last cacheable pass lays nothing
     out; a rebuilt one lays out its build snapshot and its migrated
