@@ -48,11 +48,9 @@ from ..pipeline.stages import LoadStage
 from ..serving.engine import Ticket
 from ..serving.slo import OutcomeLedger
 from ..telemetry import tracing
-from ..telemetry.tracing import TraceContext
 from ..serving.request import (
     STATUS_ERROR,
     STATUS_OK,
-    STATUS_REJECTED,
     SpMVRequest,
     SpMVResponse,
 )
@@ -63,6 +61,7 @@ from .faults import (
     FaultInjector,
     FaultPlan,
     parse_fault_plan,
+    retryable,
 )
 from .ring import HashRing
 
@@ -147,21 +146,6 @@ class ClusterResult:
             failover=self.failover,
         )
         return json.dumps(payload, separators=(",", ":"), sort_keys=True)
-
-
-def _retryable(response: SpMVResponse) -> bool:
-    """Would another device plausibly answer this request better?
-
-    Injected device faults and shed answers (a draining or overloaded
-    device) are device-local; genuine work errors (unknown matrix, bad
-    override) and deadline expiry would repeat identically anywhere.
-    """
-    if response.status == STATUS_REJECTED:
-        return True
-    return (
-        response.status == STATUS_ERROR
-        and response.detail.startswith(FAULT_DETAIL_PREFIX)
-    )
 
 
 class Cluster:
@@ -422,7 +406,7 @@ class Cluster:
     # -- failover --------------------------------------------------------
 
     def remove_device(self, device_id: str, drain: bool = True,
-                      reason: str = "removed") -> None:
+                      reason: str = "removed") -> bool:
         """Take a device out of service and redistribute its keys.
 
         The ring drops only this device's points (every other key keeps
@@ -430,21 +414,20 @@ class Cluster:
         finishes on the way out; with ``drain=False`` (the crash path)
         queued entries are shed immediately, answer ``rejected``, and
         the retry loop re-routes them to the surviving replicas.
-        Idempotent — concurrent detection of the same dead device is
-        fine.
+        Returns whether this call removed the device: concurrent
+        detection of the same dead device removes it once.
         """
         with self._lock:
             device = self.devices.get(device_id)
             if device is None or not device.health.alive:
-                return
+                return False
             device.health.mark_dead()
             self.ring.remove(device_id)
             self._routing["removed_devices"] += 1
-        t = telemetry.get()
-        with t.span("cluster.failover", device=device_id, reason=reason):
-            if t.enabled:
-                t.counter("cluster.failover", 1, device=device_id)
+        with telemetry.get().span("cluster.failover", device=device_id,
+                                  reason=reason):
             device.shutdown(drain=drain, timeout=5.0)
+        return True
 
     def _record_failure(self, device: DeviceHandle, crashed: bool,
                         fault: bool = True) -> None:
@@ -458,29 +441,17 @@ class Cluster:
         shedding device is not a dead device."""
         device.health.record_failure()
         if crashed or (fault and not device.health.healthy):
-            self.remove_device(
+            # A removal counts as a failover only here, where a failure
+            # caused it; an autoscale drain is no failover.
+            removed = self.remove_device(
                 device.device_id, drain=False,
                 reason="crash" if crashed else "unhealthy",
             )
+            t = telemetry.get()
+            if removed and t.enabled:
+                t.counter("cluster.failover", 1, device=device.device_id)
 
     # -- execution -------------------------------------------------------
-
-    def _ensure_trace(
-        self, request: SpMVRequest
-    ) -> Tuple[SpMVRequest, Optional[TraceContext], bool]:
-        """Attach a trace context at the cluster boundary.
-
-        The cluster is the outermost tracing-aware layer, so for a fresh
-        request it creates the trace and owns the root span
-        (``cluster.request``); the device engines below see the trace
-        already on the request and join it instead of starting their own.
-        """
-        if request.trace is not None:
-            return request, request.trace, False
-        trace = tracing.maybe_start_trace(request.request_id)
-        if trace is None:
-            return request, None, False
-        return dataclasses.replace(request, trace=trace), trace, True
 
     def execute(self, request: SpMVRequest,
                 timeout: float = 60.0) -> ClusterResult:
@@ -493,7 +464,9 @@ class Cluster:
             raise ServingError("cluster not started (call start())")
         t = telemetry.get()
         started = time.monotonic()
-        request, trace, owns_root = self._ensure_trace(request)
+        # The cluster is the outermost tracing-aware layer: it owns the
+        # ``cluster.request`` root, and its devices join the trace.
+        request, trace, owns_root = request.ensure_trace()
         with tracing.scope(trace):
             result = self._route_and_execute(request, timeout, t)
         slo_class = request.effective_slo_class()
@@ -584,18 +557,16 @@ class Cluster:
             hedged = hedged or did_hedge
             if response is not None:
                 last_response, last_device = response, responder
-                if not _retryable(response):
-                    return self._finish(
-                        request, response, responder, attempts,
-                        hedged, first_device,
-                    )
+                if not retryable(response):
+                    break
             if time.monotonic() >= deadline:
                 break
         if last_response is not None:
-            # Out of attempts: the last structured answer stands.
-            return self._finish(
-                request, last_response, last_device, attempts,
-                hedged, first_device,
+            # A final answer, or the last one when attempts ran out.
+            return ClusterResult(
+                response=last_response, device=last_device,
+                attempts=attempts, hedged=hedged,
+                failover=last_device != first_device,
             )
         return ClusterResult(
             response=SpMVResponse(
@@ -701,7 +672,7 @@ class Cluster:
                     continue
                 response = ticket.result(timeout=0)
                 outstanding.remove(entry)
-                if _retryable(response):
+                if retryable(response):
                     is_fault = response.detail.startswith(
                         FAULT_DETAIL_PREFIX
                     )
@@ -715,6 +686,9 @@ class Cluster:
                     continue
                 if response.ok:
                     holder.health.record_success(response.total_s)
+                    if t.enabled:
+                        t.counter("cluster.completed", 1,
+                                  device=holder.device_id)
                 return response, holder.device_id, hedged
             now = time.monotonic()
             if not outstanding or now >= budget:
@@ -751,27 +725,6 @@ class Cluster:
         for holder, _ticket in outstanding:
             self._record_failure(holder, crashed=False)
         return None, "", hedged
-
-    def _finish(
-        self,
-        request: SpMVRequest,
-        response: SpMVResponse,
-        device_id: str,
-        attempts: int,
-        hedged: bool,
-        first_device: Optional[str],
-    ) -> ClusterResult:
-        failover = bool(device_id) and device_id != first_device
-        t = telemetry.get()
-        if t.enabled and response.ok:
-            t.counter("cluster.completed", 1, device=device_id)
-        return ClusterResult(
-            response=response,
-            device=device_id,
-            attempts=attempts,
-            hedged=hedged,
-            failover=failover,
-        )
 
     def _bump(self, key: str) -> None:
         with self._lock:
@@ -820,14 +773,10 @@ class Cluster:
         """
         fleet: Dict[str, Dict[str, int]] = {}
         for device in list(self.devices.values()):
-            for tenant, stats in device.engine.tenant_summary().items():
-                rollup = fleet.setdefault(tenant, {
-                    "accepted": 0, "coalesced": 0, "shed": 0,
-                    "expired": 0, "completed": 0, "errors": 0,
-                    "dispatched": 0,
-                })
-                for key in rollup:
-                    rollup[key] += stats.get(key, 0)
+            for tenant, counts in device.engine.ledger.tenant_counts().items():
+                rollup = fleet.setdefault(tenant, dict.fromkeys(counts, 0))
+                for key, value in counts.items():
+                    rollup[key] += value
         return fleet
 
     def slo_summary(self) -> Dict[str, Dict[str, float]]:
@@ -874,17 +823,7 @@ class Cluster:
         for key, value in self.stats.items():
             if value:
                 t.counter(f"cluster.final.{key}", value)
-        for slo_class, burn in self.slo_summary().items():
-            if not (burn["good"] or burn["bad"]):
-                continue
-            for key, value in burn.items():
-                if key.startswith("burn_"):
-                    t.gauge("cluster.slo.burn_rate", value,
-                            slo_class=slo_class,
-                            window_s=float(key[5:-1]))
-                else:
-                    t.gauge(f"cluster.slo.{key}", value,
-                            slo_class=slo_class)
+        self.ledger.emit_slo_gauges(t, "cluster")
         audit = self.audit_summary()
         if audit["sampled"]:
             t.counter("cluster.audit.sampled", audit["sampled"])

@@ -39,6 +39,7 @@ from typing import Dict, List, Optional
 
 from .. import telemetry
 from ..errors import DeviceFaultError
+from ..serving.request import STATUS_ERROR, STATUS_REJECTED, SpMVResponse
 
 FAULTS_ENV = "REPRO_CLUSTER_FAULTS"
 
@@ -47,6 +48,23 @@ FAULTS_ENV = "REPRO_CLUSTER_FAULTS"
 #: genuine work errors (unknown matrix, bad override) which would fail
 #: identically on every replica.
 FAULT_DETAIL_PREFIX = "device-fault:"
+
+
+def retryable(response: SpMVResponse) -> bool:
+    """Would another device plausibly answer this request better?
+
+    The retry rule of the one-shot router and the session manager:
+    injected device faults and shed answers (a draining or overloaded
+    device) are device-local; genuine work errors (unknown matrix, bad
+    override) and deadline expiry would repeat identically anywhere.
+    """
+    if response.status == STATUS_REJECTED:
+        return True
+    return (
+        response.status == STATUS_ERROR
+        and response.detail.startswith(FAULT_DETAIL_PREFIX)
+    )
+
 
 KINDS = ("slow", "stall", "crash")
 

@@ -342,22 +342,6 @@ class ServingEngine:
 
     # -- submission ------------------------------------------------------
 
-    def _ensure_trace(
-        self, request: SpMVRequest
-    ) -> Tuple[SpMVRequest, Optional[TraceContext], bool]:
-        """Attach a trace context to ``request`` if tracing wants one.
-
-        A request arriving with a trace (the cluster attached it) keeps
-        it and the upstream layer owns the root span; otherwise the
-        engine starts one (sampling permitting) and owns the root.
-        """
-        if request.trace is not None:
-            return request, request.trace, False
-        trace = tracing.maybe_start_trace(request.request_id)
-        if trace is None:
-            return request, None, False
-        return dataclasses.replace(request, trace=trace), trace, True
-
     def submit(
         self,
         request: SpMVRequest,
@@ -373,7 +357,7 @@ class ServingEngine:
         and it must not change until the request is answered.
         """
         t = telemetry.get()
-        request, trace, owns_root = self._ensure_trace(request)
+        request, trace, owns_root = request.ensure_trace()
         with tracing.scope(trace), t.span(
             "serving.enqueue", scheme=request.scheme
         ):
@@ -854,16 +838,11 @@ class ServingEngine:
         return stats
 
     def tenant_summary(self) -> Dict[str, Dict[str, Any]]:
-        """Per-tenant outcome counts plus served-latency percentiles.
-
-        Every answer counts toward its own tenant (coalesced followers
-        included); ``dispatched`` comes from the fair queue — the view
-        the bench gates and ``repro serve`` summaries read.
-        """
+        """Per-tenant outcome counts plus served-latency percentiles,
+        all read from the ledger; every answer counts toward its own
+        tenant (coalesced followers included)."""
         tenants: Dict[str, Dict[str, Any]] = self.ledger.tenant_counts()
-        dispatched = self.queue.served_counts()
         for tenant, summary in tenants.items():
-            summary["dispatched"] = dispatched.get(tenant, 0)
             summary["latency"] = self.ledger.latency_summary(tenant)
         return tenants
 
@@ -902,17 +881,7 @@ class ServingEngine:
         summary = self.latency_summary()
         for key, value in summary.items():
             t.gauge(f"serving.latency.{key}", value)
-        for slo_class, burn in self.slo_summary().items():
-            if not (burn["good"] or burn["bad"]):
-                continue
-            for key, value in burn.items():
-                if key.startswith("burn_"):
-                    t.gauge("serving.slo.burn_rate", value,
-                            slo_class=slo_class,
-                            window_s=float(key[5:-1]))
-                else:
-                    t.gauge(f"serving.slo.{key}", value,
-                            slo_class=slo_class)
+        self.ledger.emit_slo_gauges(t, "serving")
         for key, value in self.stats.items():
             if value:
                 t.counter(f"serving.final.{key}", value)

@@ -38,6 +38,7 @@ from ..pipeline.artifacts import SpMVReport
 from ..pipeline.fingerprint import fingerprint, fingerprint_config
 from ..pipeline.stages import LoadStage
 from ..scheduling.registry import SchedulerSpec, get_scheme
+from ..telemetry import tracing
 from ..telemetry.tracing import TraceContext
 from ..tenancy import DEFAULT_TENANT, normalize_tenant
 from .slo import DEFAULT_SLOS, classify_request
@@ -108,6 +109,24 @@ class SpMVRequest:
         if self.slo_class and self.slo_class in DEFAULT_SLOS:
             return self.slo_class
         return classify_request(self.priority, self.deadline_ms)
+
+    def ensure_trace(
+        self,
+    ) -> Tuple["SpMVRequest", Optional[TraceContext], bool]:
+        """``(request, trace, owns_root)``: this request with a trace
+        context attached if tracing wants one.
+
+        A request that arrives with a trace keeps it, and the layer that
+        attached it owns the root span.  Otherwise the outermost
+        tracing-aware layer that calls this starts the trace (sampling
+        permitting) and owns the root.
+        """
+        if self.trace is not None:
+            return self, self.trace, False
+        trace = tracing.maybe_start_trace(self.request_id)
+        if trace is None:
+            return self, None, False
+        return dataclasses.replace(self, trace=trace), trace, True
 
     def resolve_config(self, spec: SchedulerSpec) -> AcceleratorConfig:
         """The effective configuration for this request under ``spec``."""

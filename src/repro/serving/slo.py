@@ -265,3 +265,16 @@ class OutcomeLedger:
             for window_s in BURN_WINDOWS_S:
                 out[name][f"burn_{window_s:g}s"] = self.burn(name, window_s)
         return out
+
+    def emit_slo_gauges(self, t: Any, prefix: str) -> None:
+        """Emit :meth:`burn_rates` on telemetry ``t`` as ``<prefix>.slo.*``
+        gauges, skipping classes without responses."""
+        for name, rates in self.burn_rates().items():
+            if not (rates["good"] or rates["bad"]):
+                continue
+            for key in ("good", "bad", "error_budget"):
+                t.gauge(f"{prefix}.slo.{key}", rates[key], slo_class=name)
+            for window_s in BURN_WINDOWS_S:
+                t.gauge(f"{prefix}.slo.burn_rate",
+                        rates[f"burn_{window_s:g}s"],
+                        slo_class=name, window_s=window_s)

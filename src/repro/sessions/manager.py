@@ -15,7 +15,9 @@
   charge the device's health ledger, re-lease among the survivors, and
   resubmit — the work item re-materializes the session state on the new
   device deterministically, so the retried iteration picks up exactly
-  where the crashed device stopped.
+  where the crashed device stopped.  ``submit`` is also the one place
+  that counts steps, iterations, failovers and re-materializations: on
+  the session handle, in :attr:`SessionManager.stats` and as telemetry.
 * ``close`` releases the device-resident state and emits the session's
   ``session.request`` root span, the single root that parents every
   per-step and per-iteration span of the session's tree.
@@ -29,16 +31,10 @@ import time
 from typing import Any, Dict, List, Optional
 
 from .. import telemetry
-from ..cluster.faults import FAULT_DETAIL_PREFIX
+from ..cluster.faults import FAULT_DETAIL_PREFIX, retryable
 from ..config import AcceleratorConfig
 from ..errors import ConfigError, SessionError
-from ..serving.request import (
-    STATUS_ERROR,
-    STATUS_OK,
-    STATUS_REJECTED,
-    SpMVRequest,
-    SpMVResponse,
-)
+from ..serving.request import STATUS_OK, SpMVRequest
 from ..telemetry import tracing
 from ..tenancy import normalize_tenant
 from .programs import get_program
@@ -51,17 +47,6 @@ _ENGINE_ATTEMPTS = 3
 
 #: Process-wide session id source (also the trace-sampling draw key).
 _SESSION_IDS = itertools.count(1)
-
-
-def _retryable(response: SpMVResponse) -> bool:
-    """Same policy as the one-shot cluster router: shed work and
-    injected device faults retry; real library errors do not."""
-    if response.status == STATUS_REJECTED:
-        return True
-    return (
-        response.status == STATUS_ERROR
-        and response.detail.startswith(FAULT_DETAIL_PREFIX)
-    )
 
 
 class SessionManager:
@@ -119,12 +104,14 @@ class SessionManager:
         tenant: Optional[str] = None,
         spec: Optional[SessionSpec] = None,
     ) -> SolverSession:
-        """Admit one session; raises :class:`SessionError` at capacity.
+        """Admit one session; raises :class:`SessionError` at capacity
+        or, in cluster mode, when no device can be leased.
 
         An explicit ``spec`` wins over the keyword form.  Opening is
         cheap and device-side lazy — the load + schedule work happens on
         the session's first step (and is a schedule-cache hit when the
-        leased device already serves that matrix).
+        leased device already serves that matrix).  A refused open
+        changes none of the manager's counts and holds no slot.
         """
         if spec is None:
             spec = SessionSpec(
@@ -142,6 +129,11 @@ class SessionManager:
                 tenant=normalize_tenant(tenant),
             )
         get_program(spec.solver)  # fail fast on unknown solvers
+        self._check_capacity(self.active)
+        device = (
+            self._lease(spec, tried=()) if self.cluster is not None
+            else None
+        )
         number = next(_SESSION_IDS)
         session = SolverSession(
             manager=self,
@@ -149,17 +141,14 @@ class SessionManager:
             spec=spec,
             trace=tracing.maybe_start_trace(number),
         )
+        session.device = device
         with self._lock:
-            if len(self._sessions) >= self.max_sessions:
-                raise SessionError(
-                    f"session limit reached "
-                    f"({self.max_sessions} concurrent sessions)"
-                )
+            # Re-checked: a concurrent open may have taken the last slot
+            # while this one leased.
+            self._check_capacity(len(self._sessions))
             self._sessions[session.session_id] = session
             active = len(self._sessions)
             self.stats["opened"] += 1
-        if self.cluster is not None:
-            session.device = self._lease(spec, tried=())
         session.opened_at = time.monotonic()
         t = telemetry.get()
         if t.enabled:
@@ -219,6 +208,13 @@ class SessionManager:
             stats = dict(self.stats)
             stats["active"] = len(self._sessions)
         return stats
+
+    def _check_capacity(self, active: int) -> None:
+        if active >= self.max_sessions:
+            raise SessionError(
+                f"session limit reached "
+                f"({self.max_sessions} concurrent sessions)"
+            )
 
     # -- the submit/retry/failover loop ----------------------------------
 
@@ -284,19 +280,23 @@ class SessionManager:
                             target.device_id, elapsed
                         )
                     payload = response.payload or {}
+                    step = work.kind == "step"
+                    made = int(payload.get("iterations", 0))
+                    remat = bool(payload.get("rematerialized"))
+                    session.steps += step
+                    session.rematerializations += remat
                     with self._lock:
-                        self.stats["steps"] += 1
-                        self.stats["iterations"] += int(
-                            payload.get("iterations", 0)
-                        )
-                        if payload.get("rematerialized"):
-                            self.stats["rematerializations"] += 1
+                        self.stats["steps"] += step
+                        self.stats["iterations"] += made
+                        self.stats["rematerializations"] += remat
                     if t.enabled:
-                        t.counter("sessions.iterations",
-                                  int(payload.get("iterations", 0)))
+                        if step:
+                            t.counter("sessions.iterations", made)
+                        if remat:
+                            t.counter("sessions.rematerialized", 1)
                     return payload
                 last_detail = response.detail or response.status
-                if not _retryable(response):
+                if not retryable(response):
                     raise SessionError(
                         f"session {session.session_id} {work.kind} "
                         f"failed: {last_detail}"

@@ -43,9 +43,11 @@ class SolverSession:
         self.residual = float("inf")
         self.converged = False
         self.accelerator_seconds = 0.0
+        #: Acknowledged steps (a fetch is no step), failovers and
+        #: re-materializations; ``SessionManager.submit`` counts all three.
+        self.steps = 0
         self.failovers = 0
         self.rematerializations = 0
-        self.steps = 0
         self.opened_at = 0.0
         self._finished = False
         self._result: Optional[SolverResult] = None
@@ -88,13 +90,10 @@ class SolverSession:
             raise SessionError("iterations must be >= 1")
         work = StepWork(self.session_id, self.spec, self.completed, batch)
         payload = self.manager.submit(self, work, timeout=timeout)
-        self.steps += 1
         self.completed = int(payload["completed"])
         self.residual = float(payload["residual"])
         self.converged = bool(payload["converged"])
         self.accelerator_seconds = float(payload["accelerator_seconds"])
-        if payload.get("rematerialized"):
-            self.rematerializations += 1
         if payload["finished"] or not payload["iterations"]:
             self._finished = True
             if self.status == "open":
@@ -118,8 +117,6 @@ class SolverSession:
             return self._result
         work = FetchWork(self.session_id, self.spec, self.completed)
         payload = self.manager.submit(self, work, timeout=timeout)
-        if payload.get("rematerialized"):
-            self.rematerializations += 1
         result = SolverResult(
             solution=np.asarray(payload["solution"]),
             iterations=int(payload["completed"]),

@@ -94,8 +94,6 @@ def _materialize(runner: PipelineRunner, spec: SessionSpec,
         prepared, state = program.open(runner, spec)
         for iteration in range(1, completed + 1):
             program.step(prepared.execute, state, iteration)
-    if completed and t.enabled:
-        t.counter("sessions.rematerialized", 1)
     return ResidentEntry(prepared, state, completed)
 
 

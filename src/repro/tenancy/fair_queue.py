@@ -33,6 +33,10 @@ schedules *per tenant*:
 With a single tenant at the default policy every rule above collapses
 to the original global queue — pinned byte-for-byte by the
 differential tests in ``tests/test_tenancy.py``.
+
+The queue keeps no books: the caller counts what ``push`` and ``pop``
+decide (the engine's :class:`~repro.serving.slo.OutcomeLedger`), and a
+tenant has state here only while it has entries queued.
 """
 
 from __future__ import annotations
@@ -81,10 +85,6 @@ class FairAdmissionQueue:
         #: Whether the tenant at ``_rr`` already got this visit's quantum.
         self._credited = False
         self._size = 0
-        #: tenant → dispatched-entry count (fairness introspection).
-        self.served: Dict[str, int] = {}
-        #: tenant → entries shed out of this queue (quota/displacement).
-        self.shed: Dict[str, int] = {}
         #: Set by :meth:`close`: an empty closed queue answers at once.
         self._closed = False
         self._cond = threading.Condition()
@@ -252,13 +252,9 @@ class FairAdmissionQueue:
                         tenant, entry, hot
                     )
                     if not admitted:
-                        self.shed[tenant] = self.shed.get(tenant, 0) + 1
                         return False, None, expired
                 else:
                     displaced = self._evict_worst(victim_tenant, hot)
-                if displaced is not None:
-                    loser = entry_tenant(displaced)
-                    self.shed[loser] = self.shed.get(loser, 0) + 1
             self._insert(tenant, entry)
             self._cond.notify()
             return True, displaced, expired
@@ -291,9 +287,7 @@ class FairAdmissionQueue:
                 self._credited = True
             if self._credits[tenant] >= 1.0:
                 self._credits[tenant] -= 1.0
-                entry = self._remove_at(tenant, 0)
-                self.served[tenant] = self.served.get(tenant, 0) + 1
-                return entry
+                return self._remove_at(tenant, 0)
             self._rr = (self._rr + 1) % len(self._active)
             self._credited = False
 
@@ -388,8 +382,3 @@ class FairAdmissionQueue:
     def tenant_quota(self) -> int:
         """The per-tenant entry cap under the current policy."""
         return self.policy.quota(self.capacity)
-
-    def served_counts(self) -> Dict[str, int]:
-        """Dispatched entries per tenant since construction."""
-        with self._cond:
-            return dict(self.served)

@@ -25,6 +25,8 @@ import pytest
 from repro import telemetry
 from repro.cli import main
 from repro.cluster import (
+    AutoscaleSignals,
+    Autoscaler,
     Cluster,
     DeviceHealth,
     FAILURE_THRESHOLD,
@@ -826,6 +828,35 @@ class TestTelemetryIntegration:
         assert "cluster devices" in report
         table = summarize_cluster_devices(cap.records)
         assert "dev0" in table and "dev1" in table
+
+    def test_a_scale_down_is_not_a_failover(self, tmp_path, capsys):
+        """Draining a healthy device counts a removal and an autoscale
+        action, never a failover."""
+        trace = tmp_path / "trace.jsonl"
+        with telemetry.capture() as cap:
+            cluster = Cluster(devices=3, replicas=1).start()
+            scaler = Autoscaler(
+                cluster, min_devices=1, max_devices=3, up_depth=4.0,
+                down_depth=0.5, up_latency_ms=0.0, down_streak=1,
+                cooldown_steps=0,
+            )
+            idle = AutoscaleSignals(alive=3, mean_depth=0.0, max_depth=0,
+                                    max_ewma_ms=0.0)
+            assert scaler.step(idle) == "down"
+            cluster.shutdown()
+        assert scaler.actions == [("down", "dev2")]
+        assert cluster.stats["removed_devices"] == 1
+        assert not [r for r in cap.records
+                    if r["kind"] == "counter"
+                    and r["name"] == "cluster.failover"]
+        trace.write_text("".join(json.dumps(r) + "\n" for r in cap.records))
+        assert main(["telemetry", "summarize", str(trace)]) == 0
+        out = capsys.readouterr().out
+        table = out.split("cluster devices")[1].split("\n\n")[0]
+        lines = table.strip().splitlines()
+        header = lines[1].split()
+        rows = {line.split()[0]: line.split() for line in lines[2:]}
+        assert rows["dev2"][header.index("failover")] == "0"
 
     def test_non_cluster_traces_omit_the_device_section(self):
         with telemetry.capture() as cap:

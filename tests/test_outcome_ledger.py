@@ -13,18 +13,29 @@ code before the outcome ledger existed:
 * **cluster** — three devices behind one closed-loop client, hedging
   effectively off, ``dev1`` crashing after two executions.
 
+A third replay drives solver sessions and the autoscaler on a 3-device
+cluster and compares its books with ``fixtures/session_replay.json``:
+
+* **sessions** — one session steps and fetches, one loses its device to
+  a crash mid-step, fails over and re-materializes, one stays open; the
+  autoscaler adds a device and drains it again; every device left then
+  crashes and one more open finds nothing to lease.
+
 Compared: ``stats``, the per-tenant counts, SLO good/bad, the cluster's
 ``status()`` counters, every telemetry counter's (name, labels, value)
 and every telemetry histogram's count.  Latencies are timing, not
 books: a replay checks its histogram percentiles against the exact
 percentiles of its own responses instead.
 
-The property test draws random submit scripts against one engine and
-checks that every ticket gets one answer and that the per-tenant, the
-per-status and the latency books agree with what the test received.
+The property tests draw random scripts.  Submits against one engine:
+every ticket gets one answer, and the per-tenant, the per-status and
+the latency books agree with what the test received.  Session opens,
+steps, fetches and closes on a cluster that loses and gains devices:
+the session manager's books agree with the session handles'.
 
-Record the fixture with
-``PYTHONPATH=src python tests/test_outcome_ledger.py --record``.
+Record the fixtures with
+``PYTHONPATH=src python tests/test_outcome_ledger.py --record`` and
+``... --record-sessions``.
 """
 
 from __future__ import annotations
@@ -41,17 +52,24 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import telemetry
-from repro.cluster import Cluster, parse_fault_plan
-from repro.errors import ReproError
+from repro.cluster import (
+    AutoscaleSignals,
+    Autoscaler,
+    Cluster,
+    parse_fault_plan,
+)
+from repro.errors import ReproError, SessionError
 from repro.matrices.generators import uniform_random
 from repro.pipeline.runner import PipelineRunner
 from repro.serving import ServingEngine, SpMVRequest
 from repro.serving.slo import OutcomeLedger
+from repro.sessions import SessionManager
 from repro.telemetry.hist import bucket_index, bucket_lower, bucket_upper
 from repro.telemetry.summarize import percentile
 from repro.tenancy import TenantPolicy
 
 FIXTURE = Path(__file__).with_name("fixtures") / "outcome_replay.json"
+SESSION_FIXTURE = FIXTURE.with_name("session_replay.json")
 
 #: Keys a ``hist`` record's attrs add to its labels (the snapshot).
 _SNAPSHOT_KEYS = {"buckets", "count", "sum", "min", "max", "growth"}
@@ -250,6 +268,89 @@ def cluster_replay():
     return books, cluster
 
 
+def session_replay():
+    """Sessions and autoscaling on a 3-device cluster whose dev2 crashes.
+
+    Placement is by content hash: session ``a`` leases dev0, ``b`` dev2
+    (replica dev1) and ``c`` dev1.  Returns the comparable books.
+    """
+    m = {"a": _matrix(407), "b": _matrix(401), "c": _matrix(400)}
+    cluster = Cluster(
+        devices=3, replicas=2, device_workers=1, queue_capacity=8,
+        hedge_ms=60_000, fault_plan=parse_fault_plan("crash:2:after=4"),
+    )
+    manager = SessionManager(cluster=cluster)
+    scaler = Autoscaler(
+        cluster, min_devices=1, max_devices=4, interval_s=1.0,
+        up_depth=4.0, down_depth=0.5, up_latency_ms=0.0,
+        up_streak=1, down_streak=1, cooldown_steps=0,
+    )
+
+    def open_session(name):
+        return manager.open(m[name], tolerance=0.0, max_iterations=9,
+                            params={"seed": 0}, tenant=name)
+
+    def signals(depth):
+        return AutoscaleSignals(alive=cluster.alive_count(),
+                                mean_depth=depth, max_depth=int(depth),
+                                max_ewma_ms=0.0)
+
+    sessions = {}
+    with telemetry.capture() as cap:
+        cluster.start()
+        a = sessions["a"] = open_session("a")
+        a.step(iterations=3)
+        a.step(iterations=3)
+        a.result()
+        a.close()
+        b = sessions["b"] = open_session("b")
+        b.step(iterations=3)
+        b.step(iterations=3)         # dev2 crashes on its 5th execution
+        b.step(iterations=3)
+        b.result()
+        b.close()
+        c = sessions["c"] = open_session("c")
+        c.step(iterations=4)         # left open until close_all
+        actions = [scaler.step(signals(8.0)), scaler.step(signals(0.0))]
+        for device_id, device in sorted(cluster.devices.items()):
+            if device.health.alive:
+                cluster.report_failure(device_id, crashed=True)
+        try:
+            open_session("a")
+        except SessionError as error:
+            failed_open = str(error)
+        else:
+            failed_open = ""
+        manager.close_all()
+        cluster.shutdown()
+    counters, _hists = _telemetry(cap.records)
+    roots = [record["attrs"] for record in cap.records
+             if record["kind"] == "span"
+             and record["name"] == "session.request"]
+    autoscaler = scaler.snapshot()
+    return {
+        "sessions": {
+            name: {"steps": session.steps, "completed": session.completed,
+                   "failovers": session.failovers,
+                   "rematerializations": session.rematerializations,
+                   "device": session.device.device_id}
+            for name, session in sessions.items()
+        },
+        "roots": [
+            {key: attrs[key] for key in ("status", "iterations",
+                                         "failovers", "rematerializations")}
+            for attrs in roots
+        ],
+        "actions": actions,
+        "failed_open": failed_open,
+        "manager": manager.snapshot(),
+        "autoscaler": {key: autoscaler[key]
+                       for key in ("alive", "steps", "ups", "downs")},
+        "stats": cluster.stats,
+        "counters": counters,
+    }
+
+
 def _width(value):
     index = bucket_index(value)
     return bucket_upper(index) - bucket_lower(index)
@@ -316,6 +417,29 @@ class TestReplayEquality:
         assert books["stats"]["failovers"] >= 1  # the crash was exercised
         assert books == golden["cluster"]
 
+    def test_session_books_equal_the_recorded_replay(self):
+        golden = json.loads(SESSION_FIXTURE.read_text())
+        books = session_replay()
+        # The fixture predates three fixes, each of which changes counts
+        # it holds.  An autoscale drain is no failover:
+        assert golden["counters"].pop(
+            _label_key("cluster.failover", {"device": "dev3"})) == 1
+        # a fetch is no step (sessions a and b fetched once each):
+        golden["manager"]["steps"] -= 2
+        assert books["manager"]["steps"] == sum(
+            row["steps"] for row in books["sessions"].values())
+        # and an open that leased no device registers no session (the
+        # fixture still holds the one ``close_all`` closed, root span
+        # included).
+        golden["manager"]["opened"] -= 1
+        golden["manager"]["closed"] -= 1
+        golden["counters"][_label_key("sessions.closed", {})] -= 1
+        assert golden["roots"].pop() == {
+            "status": "open", "iterations": 0, "failovers": 0,
+            "rematerializations": 0,
+        }
+        assert books == golden
+
 
 # -- the books property test --------------------------------------------------
 
@@ -330,6 +454,16 @@ _submits = st.lists(
         "deadline_ms": st.sampled_from([None, None, None, 0.5]),
     }),
     min_size=1, max_size=14,
+)
+
+
+_session_script = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["open", "add", "remove"]), st.just(0)),
+        st.tuples(st.sampled_from(["step", "fetch", "close"]),
+                  st.integers(0, 3)),
+    ),
+    min_size=1, max_size=12,
 )
 
 
@@ -394,6 +528,58 @@ class TestBooks:
             _assert_latency_matches(engine.latency_summary(), served)
 
 
+    @settings(max_examples=10, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(script=_session_script)
+    def test_every_session_event_is_counted_once(self, script):
+        """Opens (refused ones included: the limit is two sessions, and
+        ``remove`` can leave no device to lease), steps, fetches and
+        closes; the manager's books agree with the handles' after every
+        operation."""
+        cluster = Cluster(devices=1, device_workers=1).start()
+        manager = SessionManager(cluster=cluster, max_sessions=2)
+        sessions = []
+        try:
+            for op, index in script:
+                try:
+                    if op == "open":
+                        sessions.append(manager.open(
+                            _BOOK_MATRICES[len(sessions) % 4],
+                            tolerance=0.0, max_iterations=6,
+                            params={"seed": 0},
+                        ))
+                    elif op == "add":
+                        cluster.add_device()
+                    elif op == "remove":
+                        alive = [device_id for device_id, device
+                                 in sorted(cluster.devices.items())
+                                 if device.health.alive]
+                        if alive:
+                            cluster.remove_device(alive[0])
+                    elif sessions:
+                        session = sessions[index % len(sessions)]
+                        if op == "step":
+                            session.step(iterations=2)
+                        elif op == "fetch":
+                            session.result()
+                        else:
+                            session.close()
+                except SessionError:
+                    pass
+                books = manager.snapshot()
+                assert books["opened"] == books["closed"] + books["active"]
+                assert books["opened"] == len(sessions)
+                for key in ("steps", "failovers", "rematerializations"):
+                    assert books[key] == sum(
+                        getattr(session, key) for session in sessions)
+        finally:
+            manager.close_all()
+            cluster.shutdown()
+        books = manager.snapshot()
+        assert books["active"] == 0
+        assert books["closed"] == len(sessions)
+
+
 class TestLedgerThreads:
     def test_concurrent_writers_lose_no_update(self):
         ledger = OutcomeLedger()
@@ -428,18 +614,18 @@ class TestLedgerThreads:
         assert ledger.latency_summary()["count"] == totals["ok"]
 
 
-def _record(path: Path) -> None:
-    engine_books, _engine, _answers = engine_replay()
-    cluster_books, _cluster = cluster_replay()
+def _write(path: Path, books) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(
-        {"engine": engine_books, "cluster": cluster_books},
-        indent=1, sort_keys=True,
-    ) + "\n")
+    path.write_text(json.dumps(books, indent=1, sort_keys=True) + "\n")
     print(f"wrote {path}")
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--record"]:
-        sys.exit("usage: test_outcome_ledger.py --record")
-    _record(FIXTURE)
+    if sys.argv[1:] == ["--record"]:
+        engine_books, _engine, _answers = engine_replay()
+        cluster_books, _cluster = cluster_replay()
+        _write(FIXTURE, {"engine": engine_books, "cluster": cluster_books})
+    elif sys.argv[1:] == ["--record-sessions"]:
+        _write(SESSION_FIXTURE, session_replay())
+    else:
+        sys.exit("usage: test_outcome_ledger.py --record|--record-sessions")

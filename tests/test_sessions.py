@@ -340,6 +340,38 @@ class TestSessionErrors:
             SessionManager(engine=object(), cluster=object())
 
 
+class TestSessionBooks:
+    def test_steps_count_step_work_only(self, capsys, monkeypatch):
+        """Three 10-iteration sessions at the default batch of 8 take
+        two steps each; their fetches are not steps."""
+        from repro.cli import main
+
+        monkeypatch.delenv("REPRO_SESSION_ITER_BATCH", raising=False)
+        assert main([
+            "session", "run", "CollegeMsg", "--sessions", "3",
+            "--tolerance", "0", "--max-iterations", "10",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "30 iterations in 6 steps" in out
+
+    def test_a_failed_lease_holds_no_slot(self):
+        matrix = laplacian_1d(16)
+        with Cluster(devices=1) as cluster:
+            cluster.remove_device("dev0")
+            manager = SessionManager(cluster=cluster, max_sessions=2)
+            for _ in range(3):
+                with pytest.raises(SessionError, match="no alive device"):
+                    manager.open(matrix)
+            assert manager.snapshot()["opened"] == 0
+            assert manager.active == 0
+            cluster.add_device()
+            with manager.open(matrix) as session:
+                assert session.device.device_id == "dev1"
+                assert manager.active == 1
+        assert manager.snapshot()["opened"] == 1
+        assert manager.snapshot()["closed"] == 1
+
+
 class TestSessionTracing:
     def test_one_root_span_per_session_with_iteration_children(self):
         with telemetry.capture() as cap:
