@@ -347,10 +347,13 @@ class Cluster:
         self._record_failure(device, crashed=crashed, fault=True)
 
     def report_success(self, device_id: str, latency_s: float) -> None:
-        """Record a served session iteration on the device's ledger."""
+        """Record one answer a device served, one-shot or session work."""
         device = self.devices.get(device_id)
         if device is not None:
             device.health.record_success(latency_s)
+            t = telemetry.get()
+            if t.enabled:
+                t.counter("cluster.completed", 1, device=device_id)
 
     # -- fleet lifecycle -------------------------------------------------
 
@@ -685,10 +688,7 @@ class Cluster:
                         return response, holder.device_id, hedged
                     continue
                 if response.ok:
-                    holder.health.record_success(response.total_s)
-                    if t.enabled:
-                        t.counter("cluster.completed", 1,
-                                  device=holder.device_id)
+                    self.report_success(holder.device_id, response.total_s)
                 return response, holder.device_id, hedged
             now = time.monotonic()
             if not outstanding or now >= budget:

@@ -171,14 +171,14 @@ class DeviceHandle:
         return self.engine.submit(request, described)
 
     def crash(self) -> None:
-        """Kill the device: injected-crash every execution from now on."""
+        """Kill the device: injected-crash every execution from now on.
+        The cluster removes and counts it when it sees the fault."""
         if self.injector is None:
             self.injector = FaultInjector(self.device_id, [])
             self.engine.runner = _InjectedRunner(
                 self.engine.runner, self.injector
             )
         self.injector.crash_now()
-        self.health.mark_dead()
 
     # -- introspection ---------------------------------------------------
 

@@ -32,6 +32,8 @@ Overload degrades, it never raises: the bounded queue sheds (policy in
 ``rejected`` responses, and requests dequeued past their deadline answer
 ``expired``.  Shutdown is graceful by default — ``shutdown()`` drains
 queued work while new submissions are shed with ``engine is draining``.
+``ServingEngine(workers=0)`` starts no thread: its caller steps it with
+``run_once()``, the worker loop's body (``docs/serving.md``).
 
 Each outcome is counted once, in the engine's
 :class:`~repro.serving.slo.OutcomeLedger`, by ``_resolve`` or by one of
@@ -318,12 +320,16 @@ class ServingEngine:
         """Stop the engine; graceful (drain queued work) by default.
 
         With ``drain=False`` queued entries are shed immediately with
-        ``rejected`` responses; the in-flight batch still finishes.
+        ``rejected`` responses; the in-flight batch still finishes.  An
+        engine without worker threads drains on the caller's thread.
         """
         if self._state == "stopped":
             return
         if drain:
             self.drain()
+            if not self._threads:
+                while self.run_once():
+                    pass
         else:
             self._state = "stopping"
             for entry in self.queue.drain():
@@ -496,64 +502,71 @@ class ServingEngine:
         """Submit and block for the response (the in-process client path)."""
         return self.submit(request).result(timeout)
 
-    # -- worker engine ---------------------------------------------------
+    # -- dispatch --------------------------------------------------------
 
     def _worker_loop(self, index: int) -> None:
+        # Blocks in ``pop``; returns once the queue is closed and empty.
+        while self._dispatch(index, None):
+            pass
+
+    def run_once(self) -> bool:
+        """Run the worker loop's body once on the caller's thread, without
+        blocking; whether it dispatched or expired anything."""
+        return self._dispatch(0, 0)
+
+    def _dispatch(self, worker: int, timeout: Optional[float]) -> bool:
+        """Pop one entry (waiting up to ``timeout``), settle what expired,
+        execute the micro-batch; ``False`` if the pop found nothing."""
         t = telemetry.get()
-        while True:
-            # Blocks until work arrives or the queue closes; ``None``
-            # with nothing expired means closed and empty.
-            entry, expired = self.queue.pop()
-            for stale in expired:
-                self._finish_expired(stale)
-            if entry is None:
-                if expired:
-                    continue
-                return
-            with tracing.scope(entry.trace), t.span(
-                "serving.dispatch", worker=index
-            ):
-                now = time.monotonic()
-                if entry.expired_at(now):
-                    self._finish_expired(entry)
-                    continue
-                # Batch only within the leader's tenant: micro-batching
-                # amortises dispatch, it must not let one tenant's
-                # backlog ride along on another tenant's fair-share turn.
-                batch = [entry] + self.queue.pop_group(
-                    lambda other: (other.group == entry.group
-                                   and other.tenant == entry.tenant),
-                    self.max_batch - 1,
-                )
-                if t.enabled:
-                    t.gauge("serving.queue_depth", len(self.queue))
-                    t.gauge("serving.batch_size", len(batch),
-                            scheme=entry.spec.name)
-            # Each batch member executes under its *own* trace so the
-            # pipeline spans nest into the right request tree; members
-            # beyond the first link back to the batch leader's tree.
-            for item in batch:
-                with tracing.scope(item.trace):
-                    if t.enabled and len(batch) > 1 and item is not entry \
-                            and item.trace is not None:
-                        t.event(
-                            "trace.link",
-                            kind="batch",
-                            peer_trace_id=(
-                                entry.trace.trace_id if entry.trace else ""
-                            ),
-                            scheme=entry.spec.name,
-                        )
-                    if item.expired_at(time.monotonic()):
-                        self._finish_expired(item)
-                    else:
-                        with t.span(
-                            "serving.execute",
-                            scheme=entry.spec.name,
-                            batch=len(batch),
-                            worker=index,
-                        ):
-                            self._execute(item)
+        entry, expired = self.queue.pop(timeout)
+        for stale in expired:
+            self._finish_expired(stale)
+        if entry is None:
+            return bool(expired)
+        with tracing.scope(entry.trace), t.span(
+            "serving.dispatch", worker=worker
+        ):
+            if entry.expired_at(time.monotonic()):
+                self._finish_expired(entry)
+                return True
+            # Batch only within the leader's tenant: micro-batching
+            # amortises dispatch, it must not let one tenant's backlog
+            # ride along on another tenant's fair-share turn.
+            batch = [entry] + self.queue.pop_group(
+                lambda other: (other.group == entry.group
+                               and other.tenant == entry.tenant),
+                self.max_batch - 1,
+            )
+            if t.enabled:
+                t.gauge("serving.queue_depth", len(self.queue))
+                t.gauge("serving.batch_size", len(batch),
+                        scheme=entry.spec.name)
+        # Each batch member executes under its *own* trace so the
+        # pipeline spans nest into the right request tree; members
+        # beyond the first link back to the batch leader's tree.
+        for item in batch:
+            with tracing.scope(item.trace):
+                if t.enabled and len(batch) > 1 and item is not entry \
+                        and item.trace is not None:
+                    t.event(
+                        "trace.link",
+                        kind="batch",
+                        peer_trace_id=(
+                            entry.trace.trace_id if entry.trace else ""
+                        ),
+                        scheme=entry.spec.name,
+                    )
+                if item.expired_at(time.monotonic()):
+                    self._finish_expired(item)
+                else:
+                    with t.span(
+                        "serving.execute",
+                        scheme=entry.spec.name,
+                        batch=len(batch),
+                        worker=worker,
+                    ):
+                        self._execute(item)
+        return True
 
     def _tier_for(self, scheme: str) -> str:
         """The fidelity tier this scheme executes at right now."""

@@ -52,6 +52,7 @@ from repro.serving import SpMVRequest
 from repro.serving.engine import Ticket
 from repro.serving.request import STATUS_ERROR
 from repro.serving.slo import latency_percentiles
+from repro.sessions import SessionManager
 from repro.telemetry.summarize import (
     summarize_cluster_devices,
     summarize_records,
@@ -828,6 +829,25 @@ class TestTelemetryIntegration:
         assert "cluster devices" in report
         table = summarize_cluster_devices(cap.records)
         assert "dev0" in table and "dev1" in table
+
+    def test_done_counts_session_work(self):
+        """A device's "done" column counts session work as well as
+        one-shot answers: it equals its ``cluster.device.completed``."""
+        with telemetry.capture() as cap:
+            with Cluster(devices=2) as cluster:
+                manager = SessionManager(cluster=cluster)
+                with manager.open(MATRICES[0], tolerance=0.0,
+                                  max_iterations=12,
+                                  params={"seed": 0}) as session:
+                    session.run()
+                assert cluster.execute(SpMVRequest(MATRICES[1])).ok
+        rows = [line.split() for line in
+                summarize_cluster_devices(cap.records).splitlines()[1:]]
+        done = {row[0]: float(row[2]) for row in rows}
+        gauges = {r["attrs"]["device"]: r["value"] for r in cap.records
+                  if r["name"] == "cluster.device.completed"}
+        assert done == gauges
+        assert gauges[session.device.device_id] >= 2
 
     def test_a_scale_down_is_not_a_failover(self, tmp_path, capsys):
         """Draining a healthy device counts a removal and an autoscale

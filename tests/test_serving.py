@@ -1,10 +1,11 @@
 """Serving-layer tests: queue policy, coalescing, shedding, lifecycle.
 
-Concurrency-sensitive behaviours (coalescing onto an executing leader,
-deadline expiry, displacement, non-graceful shutdown) are made
-deterministic with a gated runner: the worker blocks inside
-``analyze`` until the test releases it, so "in flight" and "queued" are
-states the test controls rather than races it hopes to win.
+Order-sensitive behaviours (coalescing onto an executing leader,
+deadline expiry, displacement, non-graceful shutdown) run on a
+worker-less engine the test steps with ``run_once()``; what arrives
+mid-execution is submitted by a ``hooks`` callback on the stepping
+thread.  "In flight" and "queued" are states the test controls rather
+than races it hopes to win.
 
 The two ISSUE-mandated properties live in :class:`TestDeterminism`
 (coalesced concurrent responses are byte-identical to isolated serial
@@ -91,31 +92,6 @@ class _Item:
 
     def expired_at(self, now):
         return self.deadline_at is not None and now > self.deadline_at
-
-
-class _GatedRunner:
-    """Stands in for the engine's PipelineRunner; blocks until released."""
-
-    def __init__(self):
-        self.started = threading.Event()
-        self.release = threading.Event()
-        self.calls = 0
-        self._runner = PipelineRunner()
-
-    def analyze(self, source, spec, config, **kwargs):
-        self.calls += 1
-        self.started.set()
-        assert self.release.wait(10.0), "test never released the runner"
-        return self._runner.analyze(source, spec, config, **kwargs)
-
-
-def gated_engine(**kwargs):
-    """A started single-worker engine whose executions the test gates."""
-    engine = ServingEngine(workers=1, **kwargs)
-    gate = _GatedRunner()
-    engine.runner = gate
-    engine.start()
-    return engine, gate
 
 
 class TestAdmissionQueue:
@@ -285,20 +261,20 @@ class TestDeterminism:
         total = engine.stats["completed"] + engine.stats["coalesced"]
         assert total >= len(requests)
 
-    def test_followers_share_one_execution(self):
-        engine, gate = gated_engine(queue_capacity=8)
-        try:
-            leader = engine.submit(SpMVRequest(MATRICES[0]))
-            assert gate.started.wait(5.0)
-            followers = [engine.submit(SpMVRequest(MATRICES[0]))
-                         for _ in range(3)]
-            gate.release.set()
-            lead_response = leader.result(timeout=30.0)
-            shared = [f.result(timeout=30.0) for f in followers]
-        finally:
-            gate.release.set()
-            engine.shutdown()
-        assert gate.calls == 1
+    def test_followers_share_one_execution(self, hooks):
+        engine = ServingEngine(workers=0, queue_capacity=8).start()
+        engine.runner = hooks
+        followers = []
+        hooks.before(MATRICES[0], lambda: followers.extend(
+            engine.submit(SpMVRequest(MATRICES[0])) for _ in range(3)
+        ))
+        leader = engine.submit(SpMVRequest(MATRICES[0]))
+        assert engine.run_once()  # the followers arrive mid-execution
+        assert not engine.run_once()
+        engine.shutdown()
+        lead_response = leader.result(0)
+        shared = [f.result(0) for f in followers]
+        assert engine.stats["completed"] == 1
         assert lead_response.ok and not lead_response.coalesced
         assert all(r.ok and r.coalesced for r in shared)
         assert all(r.cache_status == "coalesced" for r in shared)
@@ -324,21 +300,26 @@ class TestLifecycle:
         assert rejected.detail == "engine is draining"
         assert engine.stats["shed"] == 1
 
-    def test_non_graceful_shutdown_sheds_the_queue(self):
-        engine, gate = gated_engine(queue_capacity=8)
+    def test_non_graceful_shutdown_sheds_the_queue(self, hooks):
+        """A shutdown during an execution sheds what is queued; the
+        execution in flight still finishes."""
+        engine = ServingEngine(workers=0, queue_capacity=8).start()
+        engine.runner = hooks
+        queued = []
+
+        def arrive_then_stop():
+            queued.append(engine.submit(SpMVRequest(MATRICES[1])))
+            engine.shutdown(drain=False)
+            assert queued[0].done()
+
+        hooks.before(MATRICES[0], arrive_then_stop)
         blocker = engine.submit(SpMVRequest(MATRICES[0]))
-        assert gate.started.wait(5.0)
-        queued = engine.submit(SpMVRequest(MATRICES[1]))
-        stopper = threading.Thread(
-            target=engine.shutdown, kwargs={"drain": False}
-        )
-        stopper.start()
-        shed = queued.result(timeout=5.0)
-        gate.release.set()
-        stopper.join(timeout=10.0)
+        assert engine.run_once()
+        shed = queued[0].result(0)
         assert shed.status == STATUS_REJECTED
         assert shed.detail == "engine shutdown"
-        assert blocker.result(timeout=5.0).ok  # in-flight batch finishes
+        assert blocker.result(0).ok
+
 
     def test_idle_workers_block_until_the_queue_closes(self):
         """An idle worker makes one ``pop`` call and blocks in it (no
@@ -388,14 +369,14 @@ class TestLifecycle:
             engine.shutdown()
 
     def test_ticket_timeout_is_a_serving_error(self):
-        engine, gate = gated_engine(queue_capacity=4)
-        try:
-            ticket = engine.submit(SpMVRequest(MATRICES[0]))
-            with pytest.raises(ServingError, match="did not complete"):
-                ticket.result(timeout=0.05)
-        finally:
-            gate.release.set()
-            engine.shutdown()
+        """A worker-less engine answers nothing until it is stepped; its
+        graceful shutdown runs the queue on the caller's thread."""
+        engine = ServingEngine(workers=0, queue_capacity=4).start()
+        ticket = engine.submit(SpMVRequest(MATRICES[0]))
+        with pytest.raises(ServingError, match="did not complete"):
+            ticket.result(timeout=0)
+        engine.shutdown()
+        assert engine._threads == [] and ticket.result(0).ok
 
 
 class TestTicketHooks:
@@ -403,32 +384,26 @@ class TestTicketHooks:
     when the request resolves, or at once when the ticket is done."""
 
     def test_a_hook_added_before_resolution_fires_at_resolution(self):
-        engine, gate = gated_engine(queue_capacity=4)
+        engine = ServingEngine(workers=0, queue_capacity=4).start()
+        ticket = engine.submit(SpMVRequest(MATRICES[0]))
         calls = []
-        try:
-            ticket = engine.submit(SpMVRequest(MATRICES[0]))
-            assert gate.started.wait(5.0)
-            ticket.add_done_callback(lambda: calls.append(ticket.done()))
-            assert calls == []
-            gate.release.set()
-            assert ticket.result(timeout=10.0).ok
-        finally:
-            gate.release.set()
-            engine.shutdown()
-        # Called once, by the worker, after ``done`` turned true.
+        ticket.add_done_callback(lambda: calls.append(ticket.done()))
+        assert calls == []
+        assert engine.run_once()
+        engine.shutdown()
+        assert ticket.result(0).ok
+        # Called once, by the step that resolved it, after ``done``
+        # turned true.
         assert calls == [True]
 
     def test_a_hook_added_after_resolution_fires_at_once(self):
-        engine = ServingEngine(workers=1, fidelity="exact")
-        engine.start()
+        engine = ServingEngine(workers=0, fidelity="exact").start()
         ticket = engine.submit(SpMVRequest(MATRICES[0]))
-        assert ticket.result(timeout=30.0).ok
         engine.shutdown()
+        assert ticket.result(0).ok
         calls = []
-        ticket.add_done_callback(
-            lambda: calls.append(threading.current_thread())
-        )
-        assert calls == [threading.current_thread()]
+        ticket.add_done_callback(lambda: calls.append(1))
+        assert calls == [1]
 
     def test_a_hook_on_a_ticket_rejected_at_the_door_fires_at_once(self):
         engine = ServingEngine(workers=1)
@@ -472,45 +447,29 @@ class TestTicketHooks:
 
 class TestOverload:
     def test_queue_full_and_displacement_answer_structurally(self):
-        engine, gate = gated_engine(queue_capacity=1)
-        try:
-            blocker = engine.submit(SpMVRequest(MATRICES[0]))
-            assert gate.started.wait(5.0)
-            queued = engine.submit(SpMVRequest(MATRICES[1]))
-            bounced = engine.submit(SpMVRequest(MATRICES[2]))
-            rejected = bounced.result(timeout=5.0)
-            assert rejected.status == STATUS_REJECTED
-            assert "queue full (capacity 1)" in rejected.detail
-            urgent = engine.submit(SpMVRequest(MATRICES[2], priority=9))
-            displaced = queued.result(timeout=5.0)
-            assert displaced.status == STATUS_REJECTED
-            assert "displaced" in displaced.detail
-            gate.release.set()
-            assert blocker.result(timeout=30.0).ok
-            assert urgent.result(timeout=30.0).ok
-            assert engine.stats["shed"] == 2
-        finally:
-            gate.release.set()
-            engine.shutdown()
+        engine = ServingEngine(workers=0, queue_capacity=1).start()
+        queued = engine.submit(SpMVRequest(MATRICES[1]))
+        rejected = engine.submit(SpMVRequest(MATRICES[2])).result(0)
+        assert rejected.status == STATUS_REJECTED
+        assert "queue full (capacity 1)" in rejected.detail
+        urgent = engine.submit(SpMVRequest(MATRICES[2], priority=9))
+        displaced = queued.result(0)
+        assert displaced.status == STATUS_REJECTED
+        assert "displaced" in displaced.detail
+        engine.shutdown()
+        assert urgent.result(0).ok
+        assert engine.stats["shed"] == 2
 
     def test_deadline_expiry_answers_expired(self):
-        engine, gate = gated_engine(queue_capacity=8)
-        try:
-            blocker = engine.submit(SpMVRequest(MATRICES[0]))
-            assert gate.started.wait(5.0)
-            doomed = engine.submit(
-                SpMVRequest(MATRICES[1], deadline_ms=1.0)
-            )
-            time.sleep(0.02)
-            gate.release.set()
-            expired = doomed.result(timeout=5.0)
-            assert expired.status == STATUS_EXPIRED
-            assert "deadline" in expired.detail
-            assert blocker.result(timeout=30.0).ok
-            assert engine.stats["expired"] == 1
-        finally:
-            gate.release.set()
-            engine.shutdown()
+        engine = ServingEngine(workers=0, queue_capacity=8).start()
+        doomed = engine.submit(SpMVRequest(MATRICES[1], deadline_ms=1.0))
+        time.sleep(0.002)  # lasts at least 2 ms: the deadline has passed
+        assert engine.run_once()
+        expired = doomed.result(0)
+        assert expired.status == STATUS_EXPIRED
+        assert "deadline" in expired.detail
+        assert engine.stats["expired"] == 1
+        engine.shutdown()
 
     def test_malformed_work_answers_error_without_executing(self):
         with ServingEngine(workers=1) as engine:
@@ -668,6 +627,19 @@ class TestCLI:
         assert all(p["status"] == "ok" for p in payloads)
         summary = capsys.readouterr().out
         assert "served 2/2" in summary and "p95" in summary
+
+    def test_serve_rejects_zero_workers_at_the_parser(self, tmp_path,
+                                                      capsys):
+        """A usage error, not a hang: no worker would answer (and
+        ``--timeout`` bounds the wait of a parser that let 0 through)."""
+        requests = tmp_path / "requests.jsonl"
+        requests.write_text('{"matrix": "CollegeMsg"}\n')
+        with pytest.raises(SystemExit) as exited:
+            main(["serve", str(requests), "--workers", "0",
+                  "--timeout", "1"])
+        assert exited.value.code == 2
+        assert "--workers: expected an integer >= 1" in \
+            capsys.readouterr().err
 
     def test_submit_single_request(self, capsys):
         assert main(["submit", "CollegeMsg", "--scheme", "pe_aware",

@@ -88,7 +88,7 @@ class TestByteIdentity:
         matrix, b = spd_system
         offline = _offline(solver, matrix, b,
                            tolerance=1e-8, max_iterations=60)
-        with Cluster(devices=3) as cluster:
+        with telemetry.capture() as cap, Cluster(devices=3) as cluster:
             manager = SessionManager(cluster=cluster)
             with manager.open(
                 matrix, solver=solver,
@@ -96,10 +96,20 @@ class TestByteIdentity:
                 **_session_kwargs(solver, b),
             ) as session:
                 session.step(iterations=3)
-                session.device.crash()
+                crashed = session.device
+                crashed.crash()
                 result = session.run()
             assert session.failovers >= 1
             assert session.rematerializations >= 1
+            # Counted like a fault plan's crash: removed once, and its
+            # engine stopped before the cluster's shutdown.
+            assert cluster.stats["removed_devices"] == 1
+            assert crashed.engine._state == "stopped"
+        assert [(r["attrs"]["device"], r["value"]) for r in cap.records
+                if r["kind"] == "counter"
+                and r["name"] == "cluster.failover"] == [
+            (crashed.device_id, 1)
+        ]
         _assert_identical(offline, result)
 
     def test_seeded_fault_plan_crash_matches_offline(self):

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import logging
-import threading
 from collections import deque
 
 import pytest
@@ -467,38 +466,19 @@ class TestTraceTreeCompleteness:
         assert "request traces" in text
 
 
-class _HeldRunner:
-    """The engine's own runner (its store, its pipeline spans), held on
-    every call until the test releases it."""
-
-    def __init__(self, runner):
-        self.release = threading.Event()
-        self._runner = runner
-
-    def analyze(self, *args, **kwargs):
-        assert self.release.wait(30.0), "test never released the runner"
-        return self._runner.analyze(*args, **kwargs)
-
-
 class TestEngineTracing:
     def test_single_engine_requests_trace_end_to_end(self):
         with telemetry.capture() as cap:
-            engine = ServingEngine(workers=2, fidelity="estimate")
-            # The leader cannot finish before all four submits are in,
-            # so the three repeats coalesce onto it by construction.
-            held = engine.runner = _HeldRunner(engine.runner)
-            engine.start()
-            try:
-                tickets = [
-                    engine.submit(SpMVRequest(source=MATRICES[0],
-                                              scheme="crhcs"))
-                    for _ in range(4)
-                ]
-                held.release.set()
-                responses = [t.result(30.0) for t in tickets]
-            finally:
-                held.release.set()
-                engine.shutdown(drain=True)
+            engine = ServingEngine(workers=0, fidelity="estimate").start()
+            # All four submits are in before the first step, so the
+            # three repeats coalesce onto the queued leader.
+            tickets = [
+                engine.submit(SpMVRequest(source=MATRICES[0],
+                                          scheme="crhcs"))
+                for _ in range(4)
+            ]
+            engine.shutdown(drain=True)
+        responses = [t.result(0) for t in tickets]
         assert all(r.ok for r in responses)
         by_trace = _trace_records(cap.records)
         for response in responses:
