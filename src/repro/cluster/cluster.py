@@ -173,6 +173,12 @@ class Cluster:
                 f"unknown routing policy {routing!r} "
                 f"(choose 'affinity' or 'round_robin')"
             )
+        # A device engine without workers is answered only when stepped,
+        # and nothing in a fleet steps it.
+        if device_workers < 1:
+            raise ServingError(
+                f"device_workers must be >= 1, got {device_workers}"
+            )
         count = devices if devices is not None else cluster_device_count()
         self.replicas = (
             replicas if replicas is not None else cluster_replica_count()

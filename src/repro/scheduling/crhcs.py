@@ -37,6 +37,7 @@ Two modes are provided:
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple, Union
 
@@ -83,17 +84,22 @@ CRHCS_VERSION = "2"
 DEFAULT_STEAL_TRIES = 8
 
 
+def _check_span(migration_span: int, channels: int) -> int:
+    """A span lies in ``[0, channels)``, so no channel donates to itself."""
+    if not 0 <= migration_span < max(channels, 1):
+        raise SchedulingError(
+            f"migration span {migration_span} invalid for "
+            f"{channels} channels"
+        )
+    return migration_span
+
+
 def _resolve_span(
     config: AcceleratorConfig, migration_span: Optional[int]
 ) -> int:
     if migration_span is None:
         migration_span = getattr(config, "migration_span", 1)
-    if not 0 <= migration_span < max(config.sparse_channels, 1):
-        raise SchedulingError(
-            f"migration span {migration_span} invalid for "
-            f"{config.sparse_channels} channels"
-        )
-    return migration_span
+    return _check_span(migration_span, config.sparse_channels)
 
 
 # ---------------------------------------------------------------------------
@@ -131,27 +137,37 @@ def migrate_elements(
 
     1. *Index.*  The table already holds every element channel-major in
        stream order with its fields (a slot is the flat id ``cycle *
-       pes + pe``).  From it build each channel's occupancy over the
-       equalised length, the longest of the table's list lengths (one
-       byte per slot), and its own elements (slots and compact row ids,
-       as plain Python lists).  A row's id is its rank among the
-       distinct own rows, read from a presence table and a rank table
-       as long as the tile's largest own row: O(rows in the tile), no
-       sort.
+       pes + pe``).  From it build each channel's own elements (slots
+       and compact row ids, as plain Python lists) and, when the table
+       holds foreign elements (moved in by an earlier migration), their
+       slots.  A row's id is its rank among the distinct own rows, read
+       from a presence table and a rank table as long as the tile's
+       largest own row: O(rows in the tile), no sort.
     2. *Walk.*  Each (destination, donor) step walks the destination's
-       slots in stream order with a running PE index, passing occupied
-       slots.  A donor's candidate queue is its own-element list read
-       from the end (latest first), so taking the first RAW-eligible
-       candidate in the ``steal_tries`` window pops it in O(window) and
-       leaves the skipped ones in order.  Eligibility is one lookup in
-       the hole PE's expiry list.  Occupancy is updated as slots move, so
-       a donated slot is a hole when its channel's turn as destination
-       comes (Fig. 5d).  Once a cycle's worth of holes in a row has
-       failed, the walk jumps to the first slot at which any window row
-       unblocks in its PE: nothing changes the window or the expiry lists
-       until a take, so every hole jumped over would fail the same scan,
-       and it is counted in ``raw_skips`` as if scanned
-       (``scheduler.crhcs.jumped_holes`` counts them).
+       slots in stream order over the equalised length (the longest of
+       the table's list lengths) with a running PE index, passing
+       occupied slots.  No occupancy is stored: at its turn a
+       destination's occupied slots are exactly its foreign elements,
+       its own elements no earlier destination took (its queue, already
+       ascending; no channel donates to itself) and what its earlier
+       steps moved in, so the walk passes them with a pointer into one
+       sorted list of them, and a donated slot is a hole when its
+       channel's turn as destination comes (Fig. 5d).  A donor's
+       candidate queue is its own-element list read from the end
+       (latest first), so taking the first RAW-eligible candidate in
+       the ``steal_tries`` window pops it in O(window) and leaves the
+       skipped ones in order.  A scan reads the window by negative
+       offset from the front over one precomputed range (a shorter
+       range only when the queue is shorter than the window).
+       Eligibility is one lookup in the hole PE's expiry list, and a
+       take writes its row's expiry from its cycle's ``until``.  Once a
+       cycle's worth of holes in a row has failed, the walk jumps to the
+       first slot at which any window row unblocks in its PE: nothing
+       changes the window or the expiry lists until a take, so every
+       hole jumped over would fail the same scan, and it is counted in
+       ``raw_skips`` as if scanned (``scheduler.crhcs.jumped_holes``
+       counts them; a bisect of the occupied list finds the occupied
+       slots among them).
     3. *Lay out.*  The walk appends every take of the ring to one flat
        pair of lists (donor slots and destination holes), so each is
        converted to an array once.  When the ring finishes, a dense
@@ -167,6 +183,7 @@ def migrate_elements(
     if steal_tries < 1:
         raise SchedulingError("steal_tries must be >= 1")
     channels = len(elements.lengths)
+    _check_span(migration_span, channels)
     pes = config.pes_per_channel
     distance = config.accumulator_latency
 
@@ -190,11 +207,6 @@ def migrate_elements(
     longest = max(elements.lengths)
     end = longest * pes
     keys = elem_channels * end + elem_slots
-    occupied = np.zeros(channels * end, dtype=np.uint8)
-    occupied[keys] = 1
-    occupancy = [
-        bytearray(occupied[c * end:(c + 1) * end]) for c in range(channels)
-    ]
     # A donor's queue is its own elements in stream order, so the queue
     # front (its latest element) is the end of the list.  A row's id is
     # its rank among the distinct own rows (``row_ids``).
@@ -214,6 +226,18 @@ def migrate_elements(
         candidate_slots[lo:hi] for lo, hi in zip(bounds, bounds[1:])
     ]
     queue_rows = [candidate_rows[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    # Foreign elements (migrated in by an earlier pass) are never
+    # candidates, so they hold their slots through the whole ring.
+    foreign: List[List[int]] = [[] for _ in range(channels)]
+    if len(candidate_slots) < elem_slots.size:
+        moved_in = ~own
+        foreign_slots = elem_slots[moved_in].tolist()
+        bounds = np.searchsorted(
+            elem_channels[moved_in], np.arange(channels + 1)
+        ).tolist()
+        foreign = [
+            foreign_slots[lo:hi] for lo, hi in zip(bounds, bounds[1:])
+        ]
     # expiry[pe][row id]: the first cycle at which the row may issue again
     # in that PE of the current destination (§3.3), kept as the flat slot
     # id of that cycle's PE 0 plus ``base``.  Each destination raises
@@ -222,6 +246,10 @@ def migrate_elements(
     expiry = [[0] * row_ids.size for _ in range(pes)]
     reach = distance * pes
     base = 0
+    # When the queue front is blocked, the scan reads the window below it
+    # by negative offset: all of ``steal_tries`` unless the queue is
+    # shorter.
+    scan = range(-2, -steal_tries - 1, -1)
 
     # Phase 2.  Every step's takes go on one flat pair of lists:
     # ``taken`` (the donor slots) and ``filled`` (the destination holes),
@@ -233,7 +261,16 @@ def migrate_elements(
     walk_slots = 0
     jumped_holes = 0
     for c in range(channels):
-        occ = occupancy[c]
+        # The destination's occupied slots at its turn, ascending: its
+        # foreign elements, its own elements no earlier destination took
+        # (its queue; no channel donates to itself) and, from its second
+        # step on, what its earlier steps moved in.  ``end`` closes the
+        # list, so the walk's pointer never runs off it.
+        if foreign[c]:
+            occupied = sorted(foreign[c] + queue_slots[c])
+            occupied.append(end)
+        else:
+            occupied = queue_slots[c] + [end]
         fresh = True
         for step in range(1, migration_span + 1):
             donor_id = (c + step) % channels
@@ -241,7 +278,6 @@ def migrate_elements(
             rows = queue_rows[donor_id]
             if not slots:
                 continue
-            donor_occ = occupancy[donor_id]
             start = len(taken)
             raw_skips = 0
             # The step's prefix (``scheduler.crhcs.prefix_slots``): slots
@@ -252,10 +288,14 @@ def migrate_elements(
             failed = 0
             # The walk: ``hole`` is the flat slot, ``pe`` its PE and
             # ``now`` its cycle's expiry key (``base`` + the flat id of
-            # the cycle's PE 0); a row may issue where its expiry <= now.
+            # the cycle's PE 0); a row may issue where its expiry <= now,
+            # and a take's row expires at ``until``.  ``busy`` is the
+            # first occupied slot at or after ``hole``, ``occupied[at]``.
             hole = -1
             pe = pes - 1
             now = base - pes
+            at = 0
+            busy = occupied[0]
             while True:
                 hole += 1
                 pe += 1
@@ -264,29 +304,29 @@ def migrate_elements(
                         break
                     pe = 0
                     now += pes
-                if occ[hole]:
+                    until = now + reach
+                if hole == busy:
+                    at += 1
+                    busy = occupied[at]
                     continue
                 pe_expiry = expiry[pe]
                 if pe_expiry[rows[-1]] <= now:
-                    pe_expiry[rows.pop()] = now + reach
+                    pe_expiry[rows.pop()] = until
                     slot = slots.pop()
                 else:
                     if prefix < 0:
                         prefix = len(taken) - start
-                    front = len(rows) - 1
-                    stop = front - steal_tries
-                    if stop < -1:
-                        stop = -1
-                    for j in range(front - 1, stop, -1):
+                    width = len(rows)
+                    if width < steal_tries:
+                        window_scan = range(-2, -width - 1, -1)
+                    else:
+                        width = steal_tries
+                        window_scan = scan
+                    for j in window_scan:
                         if pe_expiry[rows[j]] <= now:
                             break
                     else:
-                        j = stop
-                    raw_skips += front - j
-                    if j != stop:
-                        pe_expiry[rows.pop(j)] = now + reach
-                        slot = slots.pop(j)
-                    else:
+                        raw_skips += width
                         failed += 1
                         if failed < pes:
                             continue
@@ -297,7 +337,7 @@ def migrate_elements(
                         # before the earliest such slot over all PEs
                         # fails the same full scan: jump there.
                         failed = 0
-                        window = rows[stop + 1:]
+                        window = rows[-width:]
                         target = min(
                             min(map(expiry[p].__getitem__, window)) + p
                             for p in range(pes)
@@ -305,19 +345,21 @@ def migrate_elements(
                         if target > hole + 1:
                             if target > end:
                                 target = end
-                            skipped = (
-                                target - hole - 1
-                                - occ.count(1, hole + 1, target)
-                            )
+                            passed = bisect_left(occupied, target, at)
+                            skipped = target - hole - 1 - (passed - at)
                             jumped_holes += skipped
-                            raw_skips += skipped * (front - stop)
+                            raw_skips += skipped * width
                             hole = target - 1
+                            at = passed
+                            busy = occupied[at]
                             pe = hole % pes
                             now = base + hole - pe
+                            until = now + reach
                         continue
+                    raw_skips += -1 - j
+                    pe_expiry[rows.pop(j)] = until
+                    slot = slots.pop(j)
                 failed = 0
-                donor_occ[slot] = 0
-                occ[hole] = 1
                 taken.append(slot)
                 filled.append(hole)
                 if not slots:
@@ -326,6 +368,8 @@ def migrate_elements(
             migrated_here = len(taken) - start
             if migrated_here:
                 steps.append((c, donor_id, migrated_here))
+                if step < migration_span:
+                    occupied = sorted(occupied + filled[start:])
             if not fresh:
                 prefix = 0
             elif prefix < 0:

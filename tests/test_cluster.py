@@ -277,6 +277,15 @@ class TestRouting:
         with pytest.raises(ServingError, match="unknown routing"):
             Cluster(devices=1, routing="teleport")
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_device_workers_below_one_raise(self, workers):
+        """Nothing in a fleet steps a worker-less device engine, so its
+        requests would wait out their timeout; autoscaled devices are
+        built from the same value."""
+        with pytest.raises(ServingError, match="device_workers"):
+            Cluster(devices=2, device_workers=workers,
+                    fault_plan=FaultPlan())
+
     def test_execute_before_start_raises(self):
         cluster = Cluster(devices=1, fault_plan=FaultPlan())
         with pytest.raises(ServingError, match="not started"):

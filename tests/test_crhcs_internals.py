@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from repro.config import ChasonConfig, HBMConfig
+from repro.errors import SchedulingError
 from repro.formats.coo import COOMatrix
+from repro.matrices.generators import uniform_random
 from repro.scheduling.base import ChannelGrid, ScheduledElement
 from repro.scheduling.crhcs import (
     MigrationReport,
     migrate_grids,
     schedule_crhcs,
 )
+from repro.scheduling.passes import PassManager, resolve_passes
 from repro.scheduling.pe_aware import pe_aware_grids
 from repro.scheduling.window import tile_matrix
 
@@ -134,6 +137,30 @@ class TestMigrateGrids:
         grids[0].ensure_length(9)
         grids = migrate_grids(grids, CFG, migration_span=0)
         assert grids[0].length == 1
+
+    @pytest.mark.parametrize("span", [3, 4, -1])
+    def test_span_outside_the_ring_raises(self, span):
+        """A span of ``channels`` or more makes a channel its own donor
+        (every element would be reported migrated); a negative one
+        would migrate nothing.  ``migrate_elements`` refuses either."""
+        grids = empty_grids()
+        grids[1].place(0, 0, element(2, 1, 0))
+        with pytest.raises(SchedulingError, match="migration span"):
+            migrate_grids(grids, CFG, migration_span=span)
+
+    def test_hand_built_migrate_pass_checks_its_span(self):
+        options = {"migration_span": CFG.sparse_channels, "steal_tries": 8}
+        manager = PassManager(
+            resolve_passes(
+                ("build:pe_aware", "migrate:crhcs", "compact", "trim",
+                 "verify"),
+                options,
+            ),
+            scheme="crhcs",
+            migration_span=CFG.sparse_channels,
+        )
+        with pytest.raises(SchedulingError, match="migration span"):
+            manager.run(uniform_random(40, 20, 60, seed=1), CFG)
 
     def test_report_pair_counts(self):
         grids = empty_grids()

@@ -17,6 +17,7 @@ from repro.matrices.generators import uniform_random
 from repro.scheduling.crhcs import (
     MigrationReport,
     migrate_grids,
+    rebuild_grids,
     schedule_crhcs,
 )
 from repro.scheduling.legacy import (
@@ -150,6 +151,66 @@ def test_migrate_grids_matches_legacy_walk(case):
             (g.length, dict(g.occupied.items())) for g in slow_grids
         ]
         _assert_reports_identical(fast_report, slow_report)
+
+
+def _foreign_count(grids):
+    """Elements scheduled away from their origin channel."""
+    return sum(
+        int(np.count_nonzero(
+            (g._origin_channel >= 0) & (g._origin_channel != g.channel_id)
+        ))
+        for g in grids
+    )
+
+
+@pytest.mark.parametrize("span", [1, 2, 3])
+@pytest.mark.parametrize("seed", range(20))
+def test_tables_holding_foreign_elements_match_legacy(seed, span):
+    """Migrating grids that already hold migrated elements: the output
+    of a first migration and of the rebuild mode.  Foreign elements are
+    never candidates and keep their slots, so they stay occupied through
+    the whole ring; both walks must agree on every slot and report."""
+    rng = np.random.default_rng((seed, span))
+    channels = int(rng.integers(span + 1, 9))
+    pes = int(rng.integers(1, 9))
+    config = ChasonConfig(
+        sparse_channels=channels, pes_per_channel=pes,
+        scug_size=min(4, pes), accumulator_latency=int(rng.integers(1, 13)),
+    )
+    n_rows = int(rng.integers(8, 97))
+    n_cols = int(rng.integers(4, 49))
+    matrix = uniform_random(
+        n_rows, n_cols, min(int(rng.integers(20, 301)), n_rows * n_cols),
+        seed=seed,
+    )
+    steal_tries = int(rng.integers(1, 10))
+    foreign = 0
+    for tile in tile_matrix(matrix, config):
+        first_span = int(rng.integers(1, channels))
+        sources = (
+            migrate_grids(pe_aware_grids(tile, config), config, first_span),
+            rebuild_grids(tile, config, first_span),
+        )
+        for source in sources:
+            foreign += _foreign_count(source)
+            slow_grids = copy.deepcopy(source)
+            fast_report = MigrationReport()
+            slow_report = MigrationReport()
+            fast_grids = migrate_grids(
+                source, config, span,
+                steal_tries=steal_tries, report=fast_report,
+            )
+            legacy_migrate_grids(
+                slow_grids, config, span,
+                steal_tries=steal_tries, report=slow_report,
+            )
+            assert [
+                (g.length, dict(g.occupied.items())) for g in fast_grids
+            ] == [
+                (g.length, dict(g.occupied.items())) for g in slow_grids
+            ]
+            _assert_reports_identical(fast_report, slow_report)
+    assert foreign > 0
 
 
 def _migrate_against_legacy(config, matrix, span, steal_tries):

@@ -15,7 +15,7 @@ from repro.analysis.runner import (
 from repro.config import DEFAULT_CHASON, DEFAULT_SERPENS
 from repro.errors import SimulationError, TelemetryError
 from repro.matrices.collection import corpus_specs
-from repro.matrices.generators import uniform_random
+from repro.matrices.generators import power_law_rows, uniform_random
 from repro.matrices.named import generate_named
 from repro.pipeline import ArtifactStore, PipelineRunner
 from repro.scheduling.crhcs import MigrationReport, schedule_crhcs
@@ -355,6 +355,44 @@ class TestCacheCounters:
         )
 
 
+def _pinned(source, span, *counts, steal_tries=8, max_rows=0):
+    """One golden row of the walk counters.  Its id is the source, span
+    and counts, then any setting off the default (``steal_tries`` 8, one
+    tile)."""
+    labels = [source, span, *counts]
+    if steal_tries != 8:
+        labels.append(f"tries{steal_tries}")
+    if max_rows:
+        labels.append(f"rows{max_rows}")
+    return pytest.param(
+        source, span, steal_tries, max_rows, *counts,
+        id="-".join(map(str, labels)),
+    )
+
+
+def _walk_totals(source, span, steal_tries, max_rows):
+    """The ``scheduler.crhcs`` walk counters of one cold schedule."""
+    if source == "uniform128":
+        matrix = uniform_random(128, 128, 1_800, seed=0)
+    elif source == "power_law":
+        matrix = power_law_rows(2_000, 2_000, 20_000, seed=4)
+    else:
+        matrix = generate_named(source)
+    config = replace(DEFAULT_CHASON, migration_span=span)
+    with telemetry.capture() as cap:
+        schedule_crhcs(
+            matrix, config, steal_tries=steal_tries,
+            max_rows_per_pass=max_rows,
+        )
+    return {
+        name: sum(
+            r["value"] for r in cap.records
+            if r["name"] == f"scheduler.crhcs.{name}"
+        )
+        for name in ("prefix_slots", "walk_slots", "jumped_holes")
+    }
+
+
 class TestMigrationCounters:
     def test_pair_counters_fold_the_migration_report(self):
         report = MigrationReport()
@@ -383,60 +421,50 @@ class TestMigrationCounters:
         assert prefix + walk == report.migrated
 
     @pytest.mark.parametrize(
-        "source, span, prefix, walk",
+        "source, span, steal_tries, max_rows, prefix, walk",
         [
-            ("CollegeMsg", 1, 137, 20_159),
-            ("CollegeMsg", 2, 126, 20_170),
-            ("uniform128", 1, 151, 1_649),
+            _pinned("CollegeMsg", 1, 137, 20_159),
+            _pinned("CollegeMsg", 2, 126, 20_170),
+            _pinned("uniform128", 1, 151, 1_649),
+            _pinned("CollegeMsg", 1, 1_142, 19_154, max_rows=256),
+            _pinned("CollegeMsg", 1, 137, 20_159, steal_tries=1),
+            _pinned("uniform128", 1, 151, 1_649, steal_tries=3),
+            _pinned("power_law", 2, 162, 19_838),
         ],
     )
-    def test_prefix_walk_split_is_pinned(self, source, span, prefix, walk):
+    def test_prefix_walk_split_is_pinned(
+        self, source, span, steal_tries, max_rows, prefix, walk
+    ):
         """Golden split: a step's prefix is the slots it fills before its
         first RAW skip when nothing has migrated into its destination
-        yet; every other migrated slot is a walk slot."""
-        if source == "uniform128":
-            matrix = uniform_random(128, 128, 1_800, seed=0)
-        else:
-            matrix = generate_named(source)
-        config = replace(DEFAULT_CHASON, migration_span=span)
-        with telemetry.capture() as cap:
-            schedule_crhcs(matrix, config)
-        totals = {
-            name: sum(
-                r["value"] for r in cap.records if r["name"] == name
-            )
-            for name in (
-                "scheduler.crhcs.prefix_slots", "scheduler.crhcs.walk_slots"
-            )
-        }
-        assert totals == {
-            "scheduler.crhcs.prefix_slots": prefix,
-            "scheduler.crhcs.walk_slots": walk,
-        }
+        yet; every other migrated slot is a walk slot.  Rows cover one
+        and eight tiles (``max_rows_per_pass``), windows of 1, 3 and 8
+        candidates and a power-law matrix at span 2."""
+        totals = _walk_totals(source, span, steal_tries, max_rows)
+        assert (totals["prefix_slots"], totals["walk_slots"]) == (
+            prefix, walk
+        )
 
     @pytest.mark.parametrize(
-        "source, span, jumped",
+        "source, span, steal_tries, max_rows, jumped",
         [
-            ("CollegeMsg", 1, 14_735),
-            ("CollegeMsg", 2, 14_541),
-            ("uniform128", 1, 447),
+            _pinned("CollegeMsg", 1, 14_735),
+            _pinned("CollegeMsg", 2, 14_541),
+            _pinned("uniform128", 1, 447),
+            _pinned("CollegeMsg", 1, 32_216, max_rows=256),
+            _pinned("CollegeMsg", 1, 14_981, steal_tries=1),
+            _pinned("uniform128", 1, 442, steal_tries=3),
+            _pinned("power_law", 2, 31_994),
         ],
     )
-    def test_jumped_holes_are_pinned(self, source, span, jumped):
+    def test_jumped_holes_are_pinned(
+        self, source, span, steal_tries, max_rows, jumped
+    ):
         """Golden count of the holes the walk jumps over: each would have
         failed a full ``steal_tries`` scan, and each still counts those
         skips in ``raw_skips``."""
-        if source == "uniform128":
-            matrix = uniform_random(128, 128, 1_800, seed=0)
-        else:
-            matrix = generate_named(source)
-        config = replace(DEFAULT_CHASON, migration_span=span)
-        with telemetry.capture() as cap:
-            schedule_crhcs(matrix, config)
-        assert sum(
-            r["value"] for r in cap.records
-            if r["name"] == "scheduler.crhcs.jumped_holes"
-        ) == jumped
+        totals = _walk_totals(source, span, steal_tries, max_rows)
+        assert totals["jumped_holes"] == jumped
 
 
 class TestWarnOnce:
