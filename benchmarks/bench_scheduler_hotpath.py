@@ -9,9 +9,11 @@ counts, and CrHCS's per-matrix migration counts and RAW skips), and
 writes ``BENCH_schedulers.json`` so future changes have a perf
 trajectory to regress against.  Beside time it records CrHCS's work
 counts, which do not drift with host speed: ``migrated`` and
-``raw_skips`` for both paths, and the array walk's
+``raw_skips`` for both paths, the array walk's
 ``scheduler.crhcs.jumped_holes`` (holes it skips in bulk because a
-full candidate scan would fail at each).
+full candidate scan would fail at each), and ``tile_layouts``, the
+tiles the survey's accounting lays out (``scheduler.layout.tiles``; 0,
+as it reads only list lengths and element counts).
 
 Usage::
 
@@ -75,15 +77,19 @@ def _timed_pass(schedule_fn, matrices, with_report=False):
     return elapsed, metrics
 
 
-def _jumped_holes(schedule_fn, matrices):
-    """Holes the CrHCS walk jumps over in one untimed pass."""
+def _captured_work(schedule_fn, matrices):
+    """Holes the CrHCS walk jumps over and tiles laid out in one untimed
+    run of the timed survey pass."""
     with telemetry.capture() as cap:
-        for matrix in matrices:
-            schedule_fn(matrix)
-    return sum(
-        record["value"] for record in cap.records
-        if record["name"] == "scheduler.crhcs.jumped_holes"
-    )
+        _timed_pass(schedule_fn, matrices)
+    totals = {"scheduler.crhcs.jumped_holes": 0, "scheduler.layout.tiles": 0}
+    for record in cap.records:
+        if record["name"] in totals:
+            totals[record["name"]] += record["value"]
+    return {
+        "jumped_holes": totals["scheduler.crhcs.jumped_holes"],
+        "tile_layouts": totals["scheduler.layout.tiles"],
+    }
 
 
 def _work(metrics):
@@ -156,14 +162,15 @@ def run(quick: bool, output: Path) -> int:
         )
         if with_report:
             work = _work(fast_metrics)
-            work["jumped_holes"] = _jumped_holes(fast_fn, matrices)
+            work.update(_captured_work(fast_fn, matrices))
             results[scheme]["work"] = work
             results[scheme]["legacy_work"] = _work(legacy_metrics)
             print(
                 f"{scheme:>9s}: migrated {work['migrated']}, raw skips "
                 f"{work['raw_skips']} (legacy "
                 f"{results[scheme]['legacy_work']['raw_skips']}), "
-                f"jumped holes {work['jumped_holes']}"
+                f"jumped holes {work['jumped_holes']}, "
+                f"tile layouts {work['tile_layouts']}"
             )
 
     # The acceptance workload: a Fig. 3-style stall survey over the

@@ -21,20 +21,27 @@ Like the §3.2 channel data lists the device only streams, a grid the
 schedulers hand on is a value: its planes are read-only, and a pass that
 moves elements returns new grids instead of editing them.  Between the
 PE-aware build and the CrHCS migration a tile travels as its element
-table (:class:`TileElements`), which lays itself out as grids only when
-something reads planes.
+table (:class:`TileElements`).  A tile's grids can also be handed on as
+headers (list length, element count, last occupied cycle) whose planes
+are laid out on first read (:meth:`ChannelGrid.pending_tile`): the
+figures of merit (Eq. 4, stream cycles, 512-bit words) read only
+lengths and counts, so a schedule that nothing streams or replays fills
+no plane.
 """
 
 from __future__ import annotations
 
+import threading
 from collections.abc import MutableMapping
 from dataclasses import dataclass
+from functools import partial
 from typing import (
-    Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+    Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
 )
 
 import numpy as np
 
+from .. import telemetry
 from ..config import AcceleratorConfig
 from ..errors import RawHazardError, SchedulingError
 
@@ -52,6 +59,12 @@ _PLANES = (
     (np.int64, STALL_SENTINEL),
     (np.int64, STALL_SENTINEL),
     (np.int64, STALL_SENTINEL),
+)
+
+#: The slots that hold the planes; a grid of a pending tile leaves them
+#: unset until its first plane read (:meth:`ChannelGrid.__getattr__`).
+_PLANE_SLOTS = frozenset(
+    ("_value", "_row", "_col", "_origin_channel", "_origin_pe")
 )
 
 
@@ -138,6 +151,30 @@ class _OccupiedView(MutableMapping):
         return list(self)
 
 
+class _PendingLayout:
+    """One tile's layout, run on the first plane read of any of its grids.
+
+    ``lay_out()`` returns the tile's grids (:meth:`ChannelGrid.tile_grids`).
+    It runs once, under a lock, so threads reading planes of one pending
+    tile at once all get the same planes; it is then dropped with
+    everything it holds.
+    """
+
+    __slots__ = ("_lay_out", "_planes", "_lock")
+
+    def __init__(self, lay_out: Callable[[], List["ChannelGrid"]]):
+        self._lay_out = lay_out
+        self._planes: Optional[List[Tuple[np.ndarray, ...]]] = None
+        self._lock = threading.Lock()
+
+    def planes(self, channel: int) -> Tuple[np.ndarray, ...]:
+        with self._lock:
+            if self._planes is None:
+                self._planes = [grid._planes() for grid in self._lay_out()]
+                self._lay_out = None
+        return self._planes[channel]
+
+
 class ChannelGrid:
     """The data list of one channel: occupied slots over ``length`` cycles.
 
@@ -152,6 +189,13 @@ class ChannelGrid:
     hands on has read-only planes (:meth:`tile_grids`, :meth:`freeze`),
     so a shallow ``copy.copy`` shares them safely; trimming and
     equalising change only ``length``.
+
+    A grid of a pending tile (:meth:`pending_tile`) is a header until
+    something reads a plane: ``len``, :attr:`element_count`,
+    :attr:`capacity`, :meth:`trim_trailing_stalls` and
+    :meth:`ensure_length` read only the header, and every plane reader
+    (slots, element arrays, masks, copies, pickling) lays the tile out
+    first and keeps the planes.
     """
 
     __slots__ = (
@@ -167,6 +211,7 @@ class ChannelGrid:
         "_count",
         "_max_cycle",
         "_max_dirty",
+        "_layout",
     )
 
     def __init__(self, channel_id: int, pes: int, length: int = 0):
@@ -182,6 +227,26 @@ class ChannelGrid:
         #: at the tracked maximum marks it dirty for a lazy recompute.
         self._max_cycle = -1
         self._max_dirty = False
+        #: The tile layout this grid's planes wait for, if any.
+        self._layout: Optional[_PendingLayout] = None
+
+    def __getattr__(self, name: str):
+        """Lay a pending tile out on the first read of a plane.
+
+        Reached only when normal lookup fails, as it does for the unset
+        plane slots of a :meth:`pending_tile` grid.  The grid installs its
+        planes before it drops the layout, so a thread that finds the
+        layout gone finds the planes set.
+        """
+        if name in _PLANE_SLOTS:
+            layout = self._layout
+            if layout is not None:
+                self._set_planes(layout.planes(self.channel_id))
+                self._layout = None
+            return object.__getattribute__(self, name)
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}"
+        )
 
     def __repr__(self) -> str:
         return (
@@ -244,7 +309,44 @@ class ChannelGrid:
         grid._count = count
         grid._max_cycle = max_cycle
         grid._max_dirty = max_dirty
+        grid._layout = None
         return grid
+
+    @classmethod
+    def pending_tile(
+        cls,
+        pes: int,
+        lengths: Sequence[int],
+        counts: Sequence[int],
+        top_cycles: Sequence[int],
+        lay_out: Callable[[], List["ChannelGrid"]],
+    ) -> List["ChannelGrid"]:
+        """The grids of one tile as headers, laid out on first read.
+
+        Grid *c* is ``lengths[c]`` cycles long and holds ``counts[c]``
+        elements, the last in cycle ``top_cycles[c]`` (-1 when empty), so
+        its ``capacity`` is ``top_cycles[c] + 1``.  Its planes stay unset
+        until any grid of the tile reads one: that read runs
+        ``lay_out()``, which returns the tile's grids from
+        :meth:`tile_grids` with those capacities, once for the whole
+        tile, and each grid then keeps its planes.
+        """
+        pending = _PendingLayout(lay_out)
+        grids = []
+        for c, (length, count, top) in enumerate(
+            zip(lengths, counts, top_cycles)
+        ):
+            grid = cls.__new__(cls)
+            grid.channel_id = c
+            grid.pes = pes
+            grid.length = length
+            grid._capacity = top + 1
+            grid._count = count
+            grid._max_cycle = top
+            grid._max_dirty = False
+            grid._layout = pending
+            grids.append(grid)
+        return grids
 
     @classmethod
     def tile_grids(
@@ -269,6 +371,9 @@ class ChannelGrid:
         *c* keeps disjoint ``(capacity, pes)`` views of it, ``capacity``
         being its last occupied cycle + 1.  ``length`` is every grid's
         list length; ``None`` ends each list at its last non-zero.
+
+        This is where every tile is laid out, so it counts the tiles and
+        the cycle rows it fills (``scheduler.layout.tiles``/``rows``).
         """
         counts = np.bincount(elem_channels, minlength=channels)
         tops = np.full(channels, -1, dtype=np.int64)
@@ -276,6 +381,10 @@ class ChannelGrid:
         top_cycles = tops // pes  # -1 for an empty channel
         offsets = np.zeros(channels + 1, dtype=np.int64)
         np.cumsum(top_cycles + 1, out=offsets[1:])
+        t = telemetry.get()
+        if t.enabled:
+            t.counter("scheduler.layout.tiles", 1)
+            t.counter("scheduler.layout.rows", int(offsets[-1]))
         flat = offsets[elem_channels] * pes + slots
         planes = []
         for field, (dtype, stall) in zip(
@@ -301,7 +410,16 @@ class ChannelGrid:
 
     def __copy__(self) -> "ChannelGrid":
         """A new header over the same planes (a ``pass`` snapshot)."""
-        return ChannelGrid._from_planes(
+        return ChannelGrid._from_planes(*self._header_and_planes())
+
+    def __reduce__(self):
+        """Pickle and ``copy.deepcopy`` a grid as its header and planes
+        (a deep copy's planes are writable copies)."""
+        return ChannelGrid._from_planes, self._header_and_planes()
+
+    def _header_and_planes(self) -> tuple:
+        """The arguments of :meth:`_from_planes` that rebuild this grid."""
+        return (
             self.channel_id, self.pes, self.length, self._planes(),
             self._count, self._max_cycle, self._max_dirty,
         )
@@ -533,8 +651,8 @@ class TileElements:
     ``origin_channels`` and ``origin_pes`` — the arguments of
     :meth:`ChannelGrid.tile_grids`.  ``lengths`` holds each channel's
     list length, which may exceed its last occupied cycle + 1 (a padded
-    tail is stalls).  :meth:`grids` lays the table out and
-    :meth:`of_grids` reads grids back into one.
+    tail is stalls).  :meth:`grids` hands the table on as grids laid
+    out on first read, and :meth:`of_grids` reads grids back into one.
     """
 
     pes: int
@@ -573,14 +691,20 @@ class TileElements:
         )
 
     def grids(self) -> List[ChannelGrid]:
-        """Lay the table out: one read-only buffer per field
-        (:meth:`ChannelGrid.tile_grids`), each list ``lengths[c]`` long."""
-        grids = ChannelGrid.tile_grids(
-            len(self.lengths), self.pes, *self._fields()
+        """The table's grids, each list ``lengths[c]`` long, laid out in
+        one read-only buffer per field (:meth:`ChannelGrid.tile_grids`)
+        on the first plane read (:meth:`ChannelGrid.pending_tile`)."""
+        channels = len(self.lengths)
+        ends = np.searchsorted(self.channels, np.arange(1, channels + 1))
+        counts = np.diff(ends, prepend=0)
+        tops = np.full(channels, -1, dtype=np.int64)
+        held = counts > 0
+        tops[held] = self.slots[ends[held] - 1] // self.pes
+        return ChannelGrid.pending_tile(
+            self.pes, self.lengths, counts.tolist(), tops.tolist(),
+            partial(ChannelGrid.tile_grids, channels, self.pes,
+                    *self._fields()),
         )
-        for grid, length in zip(grids, self.lengths):
-            grid.length = length
-        return grids
 
 
 @dataclass

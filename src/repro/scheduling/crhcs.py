@@ -24,7 +24,8 @@ Two modes are provided:
     trailing all-stall cycles are trimmed and all lists are resized to the
     longest one (§3.1).  The host runs this as one exact pass per tile
     over flat per-channel lists (:func:`migrate_elements`), slot for slot
-    the reference walk kept in :mod:`repro.scheduling.legacy`.
+    the reference walk kept in :mod:`repro.scheduling.legacy`, and lays
+    the migrated lists out only when something reads their planes.
 
 ``mode="rebuild"``
     An idealised joint construction used for the ablation benchmarks: all
@@ -39,6 +40,7 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left
 from collections import deque
+from functools import partial
 from typing import Deque, Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -133,7 +135,9 @@ def migrate_elements(
     """The CrHCS ring migration of one tile (§3.1, Fig. 5).
 
     Reads the tile's element table and returns the migrated grids, each
-    list ending at its last non-zero.  One exact pass, in three phases:
+    list ending at its last non-zero, as headers whose planes are laid
+    out on first read (:meth:`ChannelGrid.pending_tile`).  One exact
+    pass, in three phases, the last of them deferred:
 
     1. *Index.*  The table already holds every element channel-major in
        stream order with its fields (a slot is the flat id ``cycle *
@@ -169,13 +173,21 @@ def migrate_elements(
        counts them; a bisect of the occupied list finds the occupied
        slots among them).
     3. *Lay out.*  The walk appends every take of the ring to one flat
-       pair of lists (donor slots and destination holes), so each is
-       converted to an array once.  When the ring finishes, a dense
-       table from flat slot key to element finds every moved element,
-       whose channel and slot are overwritten at once, and the grids are
-       laid out in one allocation with one scatter per field
-       (:meth:`ChannelGrid.tile_grids`), so each ``capacity`` is the
-       last occupied cycle + 1 and the planes are read-only.
+       pair of lists (donor slots and destination holes).  When the
+       ring finishes, its state gives each channel's header in
+       O(channels): it holds its foreign elements, the own elements no
+       destination took (its queue) and what its steps moved in, and
+       its last occupied slot is the largest of the three lists' last
+       (each step fills its holes in stream order).  List lengths and
+       element counts are all that compaction, trimming, verification
+       and the figures of merit read, so the rest of the phase runs on
+       the first read of any plane of the tile
+       (:func:`_lay_out_migrated`): each list is converted to an array
+       once, a dense table from flat slot key to element finds every
+       moved element, whose channel and slot are overwritten at once,
+       and the grids are laid out in one allocation with one scatter
+       per field (:meth:`ChannelGrid.tile_grids`), so each ``capacity``
+       is the last occupied cycle + 1 and the planes are read-only.
 
     The result is slot-for-slot the walk of
     :func:`repro.scheduling.legacy.legacy_migrate_grids`.
@@ -195,18 +207,16 @@ def migrate_elements(
     if report is not None:
         report.own_issues += elem_slots.size
     if migration_span == 0 or channels < 2:
-        return ChannelGrid.tile_grids(
-            channels, pes, elem_channels, elem_slots, elem_rows,
-            elements.cols, elements.values, elem_origin_channels,
-            elements.origin_pes,
-        )
+        grids = elements.grids()
+        for grid in grids:
+            grid.trim_trailing_stalls()  # reads the header only
+        return grids
 
     # §3.1: the data lists are resized to the longest one; the padded
     # stalls of short (even empty) channels are exactly the slots
-    # migration fills.  ``keys`` are the channel-major flat slots.
+    # migration fills.
     longest = max(elements.lengths)
     end = longest * pes
-    keys = elem_channels * end + elem_slots
     # A donor's queue is its own elements in stream order, so the queue
     # front (its latest element) is the end of the list.  A row's id is
     # its rank among the distinct own rows (``row_ids``).
@@ -257,6 +267,10 @@ def migrate_elements(
     taken: List[int] = []
     filled: List[int] = []
     steps: List[Tuple[int, int, int]] = []
+    # Per destination: elements moved in and the last hole they filled
+    # (each step fills its holes in stream order).
+    moved_in = [0] * channels
+    last_filled = [-1] * channels
     prefix_slots = 0
     walk_slots = 0
     jumped_holes = 0
@@ -368,6 +382,8 @@ def migrate_elements(
             migrated_here = len(taken) - start
             if migrated_here:
                 steps.append((c, donor_id, migrated_here))
+                moved_in[c] += migrated_here
+                last_filled[c] = max(last_filled[c], filled[-1])
                 if step < migration_span:
                     occupied = sorted(occupied + filled[start:])
             if not fresh:
@@ -390,12 +406,46 @@ def migrate_elements(
         t.counter("scheduler.crhcs.walk_slots", walk_slots)
         t.counter("scheduler.crhcs.jumped_holes", jumped_holes)
 
-    # Phase 3.  A donor's own elements sit at their original slots until
-    # taken, and each is taken at most once, so a taken slot's key names
-    # the element (``element_at`` is read only at element keys).
+    # The headers.  After the ring, a channel holds its foreign
+    # elements, the own elements no destination took (its queue, whose
+    # takes came off the tail) and what its steps moved in.
+    counts = []
+    top_cycles = []
+    for queue, held, arrived, last in zip(
+        queue_slots, foreign, moved_in, last_filled
+    ):
+        counts.append(len(queue) + len(held) + arrived)
+        top_cycles.append(max(
+            queue[-1] if queue else -1, held[-1] if held else -1, last,
+        ) // pes)
+    return ChannelGrid.pending_tile(
+        pes, [top + 1 for top in top_cycles], counts, top_cycles,
+        partial(_lay_out_migrated, elements, pes, end, steps, taken, filled),
+    )
+
+
+def _lay_out_migrated(
+    elements: TileElements,
+    pes: int,
+    end: int,
+    steps: List[Tuple[int, int, int]],
+    taken: List[int],
+    filled: List[int],
+) -> List[ChannelGrid]:
+    """Phase 3 of :func:`migrate_elements`: the migrated tile's layout.
+
+    A donor's own elements sit at their original slots until taken, and
+    each is taken at most once, so a taken slot's key (``channel * end +
+    slot``) names the element (``element_at`` is read only at element
+    keys).
+    """
+    channels = len(elements.lengths)
+    elem_channels = elements.channels
+    elem_slots = elements.slots
     if steps:
         dests, donors, sizes = zip(*steps)
         count = len(taken)
+        keys = elem_channels * end + elem_slots
         element_at = np.empty(channels * end, dtype=np.intp)
         element_at[keys] = np.arange(keys.size)
         moved = element_at[
@@ -407,8 +457,9 @@ def migrate_elements(
         elem_channels[moved] = np.repeat(dests, sizes)
         elem_slots[moved] = np.fromiter(filled, np.int64, count)
     return ChannelGrid.tile_grids(
-        channels, pes, elem_channels, elem_slots, elem_rows, elements.cols,
-        elements.values, elem_origin_channels, elements.origin_pes,
+        channels, pes, elem_channels, elem_slots, elements.rows,
+        elements.cols, elements.values, elements.origin_channels,
+        elements.origin_pes,
     )
 
 

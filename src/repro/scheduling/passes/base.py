@@ -11,10 +11,12 @@ accumulated along the way.
 A pass transforms one :class:`TileState`: it replaces the tile's grids
 or element table with what it produces and never writes a plane it
 received (grids are values, with read-only planes).  The state converts
-between the two on demand and keeps what it converted, so a tile is
-laid out at most once between passes.  Tiles are mutually
-independent (a :class:`~repro.scheduling.base.TiledSchedule` concatenates
-them), which is what makes per-tile fingerprint chains — and hence
+between the two on demand and keeps what it converted, and grids made
+from a table are laid out on their first plane read, so a tile is laid
+out at most once, and not at all when only lengths and counts are
+read.  Tiles are mutually independent (a
+:class:`~repro.scheduling.base.TiledSchedule` concatenates them),
+which is what makes per-tile fingerprint chains — and hence
 incremental rescheduling — possible: an in-place matrix edit invalidates
 only the chains of the tiles it touched.
 
@@ -55,9 +57,11 @@ class TileState:
     """Mutable per-tile state threaded through the pass list.
 
     The tile's schedule is held as grids, as an element table, or as
-    both when one was converted from the other: :attr:`grids` lays a
-    table out on first read (compact, trim, verify, a snapshot and the
-    assembled schedule read planes), :attr:`elements` reads grids into a
+    both when one was converted from the other: :attr:`grids` hands a
+    table on as grids laid out on their first plane read
+    (:meth:`~repro.scheduling.base.TileElements.grids`; compact, trim,
+    verify and the assembled schedule read only lengths and counts, a
+    snapshot's copies read planes), :attr:`elements` reads grids into a
     table on first read (migration), and either conversion is kept.
     Assigning one drops the other.
     """

@@ -124,9 +124,9 @@ class _TileSnapshot:
 
     Grids are values, so a snapshot shares their read-only planes: it
     copies only each grid's header, whose ``length`` the compact and trim
-    passes change.  The per-tile report is held as it is; nothing writes
-    it after its pass (:meth:`PassManager._assemble` merges it into a
-    fresh aggregate).
+    passes change (a copy lays a pending tile out first).  The per-tile
+    report is held as it is; nothing writes it after its pass
+    (:meth:`PassManager._assemble` merges it into a fresh aggregate).
     """
 
     grids: List[ChannelGrid]

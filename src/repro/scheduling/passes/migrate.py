@@ -17,7 +17,8 @@ from ..stats import MigrationReport
 from .base import SchedulePass, ScheduleIR, TileState
 
 #: ``migrator(elements, config, options, report) -> List[ChannelGrid]``:
-#: reads the tile's element table and returns new, read-only grids.
+#: reads the tile's element table and returns new, read-only grids
+#: (the CrHCS kernel's are laid out on their first plane read).
 MigratorFn = Callable[..., List[ChannelGrid]]
 
 

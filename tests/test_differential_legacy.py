@@ -1,8 +1,12 @@
 """Differential test: the fast schedulers vs the legacy slot-at-a-time
 builders, slot-for-slot, over a seeded mini-corpus, hypothesis-drawn
-small configurations and the 128 x 128 all-migrate regime."""
+small configurations and the 128 x 128 all-migrate regime; and a
+migrated tile read before its layout vs the same tile read after it."""
 
 import copy
+import dataclasses
+import pickle
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,8 +18,10 @@ from repro.config import DEFAULT_CHASON, DEFAULT_SERPENS, ChasonConfig
 from repro.formats.coo import COOMatrix
 from repro.matrices.collection import corpus_specs
 from repro.matrices.generators import uniform_random
+from repro.scheduling.base import Schedule, TiledSchedule, TileElements
 from repro.scheduling.crhcs import (
     MigrationReport,
+    migrate_elements,
     migrate_grids,
     rebuild_grids,
     schedule_crhcs,
@@ -25,8 +31,14 @@ from repro.scheduling.legacy import (
     legacy_schedule_crhcs,
     legacy_schedule_pe_aware,
 )
-from repro.scheduling.pe_aware import pe_aware_grids, schedule_pe_aware
+from repro.scheduling.pe_aware import (
+    pe_aware_elements,
+    pe_aware_grids,
+    schedule_pe_aware,
+)
+from repro.scheduling.serialize import serialize_schedule
 from repro.scheduling.window import tile_matrix
+from repro.sim.plan import compile_plan
 
 MINI_CORPUS = list(corpus_specs(count=30, nnz_cap=4_000))
 
@@ -391,3 +403,186 @@ def test_coordinates_past_16_bits_match_legacy():
     matrix = _shuffled_coo_with_repeats(3, shape=(wide, wide), nnz=800)
     assert matrix.rows.max() >= 1 << 16 and matrix.cols.max() >= 1 << 16
     _assert_both_schemes_match_legacy(matrix, config, wide)
+
+
+# ---------------------------------------------------------------------------
+# A pending tile (migrated, not yet laid out) reads like a laid-out one.
+# ---------------------------------------------------------------------------
+
+
+def _planes_of(grid):
+    return (grid._value, grid._row, grid._col, grid._origin_channel,
+            grid._origin_pe)
+
+
+def _copies(grids):
+    """A copy's contents and whether its planes are writable."""
+    return _grid_contents(grids), [
+        [plane.flags.writeable for plane in _planes_of(g)] for g in grids
+    ]
+
+
+def _as_schedule(grids, tile, config, span):
+    schedule = Schedule(config=config, grids=grids, scheme="crhcs",
+                        migration_span=span)
+    schedule.equalise()
+    return TiledSchedule(config=config, tiles=[schedule], scheme="crhcs",
+                         n_rows=tile.n_rows, n_cols=tile.n_cols)
+
+
+def _plan_fields(plan):
+    return [
+        value.tobytes() if isinstance(value, np.ndarray) else value
+        for value in (getattr(plan, f.name) for f in dataclasses.fields(plan))
+    ]
+
+
+def _table_bytes(table):
+    return table.pes, table.lengths, [
+        array.tobytes() for array in table._fields()
+    ]
+
+
+def _arrays(read):
+    """A per-grid reader of array tuples, as bytes."""
+    return lambda grids, *_: [
+        [array.tobytes() for array in read(g)] for g in grids
+    ]
+
+
+#: Every way to read a tile's planes: ``reader(grids, tile, config,
+#: span)`` returns something comparable.
+PLANE_READERS = {
+    "slot": lambda grids, *_: [
+        [g.slot(cycle, pe) for cycle in range(g.capacity + 1)
+         for pe in range(g.pes)] for g in grids
+    ],
+    "occupied": lambda grids, *_: [
+        (dict(g.occupied.items()), list(g.occupied)) for g in grids
+    ],
+    "flat_elements": _arrays(lambda g: g.flat_elements()),
+    "element_arrays": _arrays(lambda g: g.element_arrays()),
+    "occupied_mask": _arrays(lambda g: (g.occupied_mask(),
+                                        g.occupied_mask(g.length + 2))),
+    "hole_coords": _arrays(lambda g: g.hole_coords()),
+    "iter_elements": lambda grids, *_: [
+        list(g.iter_elements()) for g in grids
+    ],
+    "own_elements_tail_first": lambda grids, *_: [
+        g.own_elements_tail_first() for g in grids
+    ],
+    "copy.copy": lambda grids, *_: _copies([copy.copy(g) for g in grids]),
+    "copy.deepcopy": lambda grids, *_: _copies(copy.deepcopy(grids)),
+    "pickle": lambda grids, *_: _copies(pickle.loads(pickle.dumps(grids))),
+    "serialize_schedule": lambda grids, *context: serialize_schedule(
+        _as_schedule(grids, *context)
+    ),
+    "compile_plan": lambda grids, tile, config, span: _plan_fields(
+        compile_plan(_as_schedule(grids, tile, config, span), config)
+    ),
+    "Schedule.validate": lambda grids, *context: _as_schedule(
+        grids, *context
+    ).validate(),
+    "TileElements.of_grids": lambda grids, *_: _table_bytes(
+        TileElements.of_grids(grids)
+    ),
+}
+
+
+def _outcome(read, grids, context):
+    """What a reader returns, or the error it raises."""
+    try:
+        return read(grids, *context)
+    except Exception as error:  # compared, not swallowed
+        return type(error).__name__, str(error)
+
+
+def _laid_out(make):
+    """A tile migrated and laid out, whose headers (taken before the
+    layout) match the planes: each capacity ends at a last occupied
+    cycle."""
+    grids = make()
+    headers = [(g.length, g.capacity, g.element_count) for g in grids]
+    for grid in grids:
+        _planes_of(grid)
+    assert headers == [
+        (g.length, g._value.shape[0],
+         int(np.count_nonzero(g._origin_channel >= 0)))
+        for g in grids
+    ]
+    assert all(
+        g.capacity == 0 or (g._origin_channel[-1] >= 0).any()
+        for g in grids
+    )
+    return grids
+
+
+def _assert_reads_like_laid_out(make, tile, config, span):
+    """``make()`` migrates one tile afresh.  Every plane reader returns
+    on a pending tile what it returns once the tile is laid out, and
+    lays the tile out once."""
+    context = (tile, config, span)
+    for name, read in PLANE_READERS.items():
+        expected = _outcome(read, _laid_out(make), context)
+        pending = make()
+        with telemetry.capture() as cap:
+            got = _outcome(read, pending, context)
+        assert got == expected, name
+        layouts = sum(r["value"] for r in cap.records
+                      if r["name"] == "scheduler.layout.tiles")
+        # Once; a reader may skip the planes of a tile with no element.
+        assert layouts == 1 or (layouts == 0 and not tile.nnz), name
+
+
+@pytest.mark.parametrize("span", [0, 1, 2, 3])
+@pytest.mark.parametrize("seed", range(6))
+def test_a_pending_tile_reads_like_a_laid_out_one(seed, span):
+    """Each tile's PE-aware table migrated, and second migrations of a
+    first migration's and of the rebuild mode's grids (tables holding
+    foreign elements), over ``steal_tries`` 1-20."""
+    rng = np.random.default_rng((seed, span, 30))
+    channels = int(rng.integers(max(span, 1) + 1, 9))
+    pes = int(rng.integers(1, 9))
+    # Every donor offset gets its ScUG, so the simulator compiles
+    # second migrations too.
+    config = ChasonConfig(
+        sparse_channels=channels, pes_per_channel=pes,
+        scug_size=min(4, pes), accumulator_latency=int(rng.integers(1, 13)),
+        migration_span=channels - 1,
+    )
+    n_rows = int(rng.integers(8, 97))
+    n_cols = int(rng.integers(4, 49))
+    matrix = uniform_random(
+        n_rows, n_cols, min(int(rng.integers(20, 301)), n_rows * n_cols),
+        seed=seed,
+    )
+    steal_tries = int(rng.integers(1, 21))
+    for tile in tile_matrix(matrix, config):
+        first_span = int(rng.integers(0, channels))
+        for table in (
+            pe_aware_elements(tile, config),
+            TileElements.of_grids(migrate_grids(
+                pe_aware_grids(tile, config), config, first_span)),
+            TileElements.of_grids(rebuild_grids(tile, config, first_span)),
+        ):
+            _assert_reads_like_laid_out(
+                partial(migrate_elements, table, config, span,
+                        steal_tries=steal_tries),
+                tile, config, span,
+            )
+
+
+@settings(max_examples=40, deadline=None)
+@given(migration_cases(), st.integers(0, 3), st.integers(1, 20))
+def test_a_drawn_pending_tile_reads_like_a_laid_out_one(
+    case, span, steal_tries
+):
+    config, matrix, _, _ = case
+    span = min(span, config.sparse_channels - 1)
+    for tile in tile_matrix(matrix, config):
+        grids = pe_aware_grids(tile, config)
+        _assert_reads_like_laid_out(
+            partial(migrate_grids, grids, config, span,
+                    steal_tries=steal_tries),
+            tile, config, span,
+        )

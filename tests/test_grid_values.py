@@ -1,6 +1,10 @@
-"""Grids are values: migration lays each tile's lists out once, right-sized
-and read-only, from the build's element table, and ``reschedule``
-snapshots share their planes."""
+"""Grids are values: a tile's lists are laid out once, right-sized and
+read-only, on the first plane read, from the build's or migration's
+element table, and ``reschedule`` snapshots share their planes."""
+
+import copy
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -192,22 +196,100 @@ def layouts(monkeypatch):
     return counts
 
 
+def _read_every_plane(schedule):
+    """Read a plane of every grid (``occupied_mask`` reads no table back)."""
+    for tile in schedule.tiles:
+        for grid in tile.grids:
+            grid.occupied_mask()
+
+
 @pytest.mark.parametrize("scheme, nnz, n, max_rows, expected", [
     # The PE-aware table goes to migration as it is; only the migrated
     # lists are laid out (the PE-aware lists would fill 2,876 rows).
     ("crhcs", 1_800, 128, 0, (1, 336)),
     ("crhcs", 20_000, 2048, 256, (8, 2_683)),
-    # With nothing after the build that takes a table, compact lays the
-    # PE-aware table out, once.
+    # With nothing after the build that takes a table, the PE-aware
+    # table is what a read lays out.
     ("pe_aware", 1_800, 128, 0, (1, 2_876)),
 ])
 def test_a_cold_schedule_lays_each_tile_out_once(
     layouts, scheme, nnz, n, max_rows, expected
 ):
+    """Compact, trim, verify and the schedule's accounting read only
+    lengths and counts, so a cold schedule lays nothing out; the first
+    plane read lays each tile out once, and later reads lay out nothing."""
     matrix = uniform_random(n, n, nnz, seed=0 if n == 128 else 1)
-    PipelineRunner().schedule(matrix, scheme, max_rows_per_pass=max_rows)
+    schedule = PipelineRunner().schedule(
+        matrix, scheme, max_rows_per_pass=max_rows
+    ).schedule
+    assert schedule.nnz == nnz and schedule.underutilization > 0
+    assert (layouts["layouts"], layouts["rows"]) == (0, 0)
+    _read_every_plane(schedule)
+    assert (layouts["layouts"], layouts["rows"]) == expected
+    _read_every_plane(schedule)
     assert (layouts["layouts"], layouts["rows"]) == expected
     assert layouts["reads"] == 0
+
+
+def test_the_disk_tier_writes_the_laid_out_image(tmp_path, layouts):
+    """Writing a cold schedule's ``.chsn`` image lays each tile out once,
+    and the image is the one an eagerly laid-out schedule encodes."""
+    matrix = uniform_random(128, 128, 1_800, seed=5)
+    runner = PipelineRunner(
+        store=ArtifactStore(capacity=8, disk_dir=str(tmp_path))
+    )
+    runner.schedule(matrix, "crhcs")
+    assert layouts["layouts"] == 1
+    (image,) = tmp_path.glob("*.chsn")
+    eager = PipelineRunner(store=ArtifactStore(capacity=8)).schedule(
+        matrix, "crhcs").schedule
+    _read_every_plane(eager)
+    assert image.read_bytes() == serialize_schedule(eager)
+
+
+def _image_and_copies(schedule):
+    copies = copy.deepcopy(schedule.tiles[0].grids)
+    return serialize_schedule(schedule), [
+        (grid.length, [plane.tobytes() for plane in _planes(grid)])
+        for grid in copies
+    ]
+
+
+def test_two_threads_read_one_cached_pending_schedule(layouts):
+    """A device runs two workers over one store, so two requests may
+    read the planes of one cached, pending schedule at once: both get
+    them, and each tile is laid out once."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for seed in range(40):
+            matrix = uniform_random(128, 128, 1_800, seed=seed)
+            runner = PipelineRunner(store=ArtifactStore(capacity=8))
+            tiles = len(runner.schedule(matrix, "crhcs").schedule.tiles)
+            start = threading.Barrier(2)
+            results = []
+
+            def read():
+                start.wait(timeout=30)
+                try:
+                    results.append(_image_and_copies(
+                        runner.schedule(matrix, "crhcs").schedule))
+                except Exception as error:  # reported below
+                    results.append(error)
+
+            before = layouts["layouts"]
+            threads = [threading.Thread(target=read) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert layouts["layouts"] - before == tiles
+            eager = PipelineRunner(store=ArtifactStore(capacity=8)).schedule(
+                matrix, "crhcs").schedule
+            assert results == [_image_and_copies(eager)] * 2
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("nnz, n, max_rows", [
@@ -283,8 +365,9 @@ def test_a_slot_at_a_time_build_feeds_migration(layouts, config, matrix,
                                                 span):
     """``build:greedy`` grids go through migration: the pass list
     equals the legacy walk over writable copies of the same grids, tile
-    for tile and report for report, and each tile's grids are read back
-    once."""
+    for tile and report for report, each tile's grids are read back
+    once, and the migrated lists are laid out once per tile, on the
+    first plane read."""
     options = {"migration_span": span, "steal_tries": 8}
     manager = PassManager(
         resolve_passes(
@@ -296,8 +379,10 @@ def test_a_slot_at_a_time_build_feeds_migration(layouts, config, matrix,
     )
     schedule = manager.run(matrix, config)
     tiles = tile_matrix(matrix, config)
-    assert layouts["layouts"] == len(tiles)
+    assert layouts["layouts"] == 0
     assert layouts["reads"] == len(tiles) * config.sparse_channels
+    _read_every_plane(schedule)
+    assert layouts["layouts"] == len(tiles)
 
     expected = MigrationReport()
     assert len(schedule.tiles) == len(tiles)

@@ -20,6 +20,7 @@ from repro.matrices.named import generate_named
 from repro.pipeline import ArtifactStore, PipelineRunner
 from repro.scheduling.crhcs import MigrationReport, schedule_crhcs
 from repro.scheduling.pe_aware import schedule_pe_aware
+from repro.sim.plan import compile_plan
 from repro.sim.trace import ScheduleTrace
 from repro.telemetry.schema import (
     validate_file,
@@ -391,6 +392,47 @@ def _walk_totals(source, span, steal_tries, max_rows):
         )
         for name in ("prefix_slots", "walk_slots", "jumped_holes")
     }
+
+
+class TestLayoutCounters:
+    """``scheduler.layout.tiles``/``rows``: tiles laid out and the cycle
+    rows they fill, counted where every tile is laid out."""
+
+    @staticmethod
+    def _layouts(records):
+        return tuple(
+            sum(r["value"] for r in records if r["name"] == name)
+            for name in ("scheduler.layout.tiles", "scheduler.layout.rows")
+        )
+
+    def test_an_analysis_lays_out_nothing_until_a_plan_compiles(self):
+        matrix = uniform_random(128, 128, 1_800, seed=0)
+        runner = PipelineRunner(store=ArtifactStore(capacity=8))
+        with telemetry.capture() as cap:
+            result = runner.analyze(matrix, "crhcs")
+        assert result.report.underutilization_pct > 0
+        assert self._layouts(cap.records) == (0, 0)
+        with telemetry.capture() as cap:
+            result.scheduled.replay_plan()
+        assert self._layouts(cap.records) == (1, 336)
+        schedule = result.scheduled.schedule
+        with telemetry.capture() as cap:
+            compile_plan(schedule, result.scheduled.config)
+            for tile in schedule.tiles:
+                for grid in tile.grids:
+                    grid.element_arrays()
+        assert self._layouts(cap.records) == (0, 0)
+
+    def test_nothing_is_counted_while_telemetry_is_off(self, monkeypatch):
+        emitted = []
+        monkeypatch.setattr(
+            telemetry.NULL, "counter",
+            lambda name, *args, **kwargs: emitted.append(name),
+        )
+        matrix = uniform_random(128, 128, 1_800, seed=0)
+        runner = PipelineRunner(store=ArtifactStore(capacity=8))
+        runner.analyze(matrix, "crhcs").scheduled.replay_plan()
+        assert not [name for name in emitted if "layout" in name]
 
 
 class TestMigrationCounters:
