@@ -23,7 +23,8 @@ Two modes are provided:
     Reduction Unit.  Donated slots become stalls in the donor (Fig. 5d);
     trailing all-stall cycles are trimmed and all lists are resized to the
     longest one (§3.1).  The host runs this as one exact pass per tile
-    over flat per-channel lists (:func:`migrate_elements`), slot for slot
+    over flat per-channel arrays (:func:`migrate_elements`; its walk is one
+    call to a small C kernel where the host can build one), slot for slot
     the reference walk kept in :mod:`repro.scheduling.legacy`, and lays
     the migrated lists out only when something reads their planes.
 
@@ -64,6 +65,7 @@ from .passes import (
     resolve_passes,
 )
 from .pe_aware import group_rows_by_pe, pe_aware_elements
+from . import walk_kernel
 from .registry import register_scheme
 # Re-exported from its historical location; the class itself lives in
 # stats so the pass layer can use it without importing this module.
@@ -142,49 +144,58 @@ def migrate_elements(
     1. *Index.*  The table already holds every element channel-major in
        stream order with its fields (a slot is the flat id ``cycle *
        pes + pe``).  From it build each channel's own elements (slots
-       and compact row ids, as plain Python lists) and, when the table
-       holds foreign elements (moved in by an earlier migration), their
-       slots.  A row's id is its rank among the distinct own rows, read
-       from a presence table and a rank table as long as the tile's
-       largest own row: O(rows in the tile), no sort.
-    2. *Walk.*  Each (destination, donor) step walks the destination's
-       slots in stream order over the equalised length (the longest of
-       the table's list lengths) with a running PE index, passing
-       occupied slots.  No occupancy is stored: at its turn a
-       destination's occupied slots are exactly its foreign elements,
-       its own elements no earlier destination took (its queue, already
-       ascending; no channel donates to itself) and what its earlier
-       steps moved in, so the walk passes them with a pointer into one
-       sorted list of them, and a donated slot is a hole when its
-       channel's turn as destination comes (Fig. 5d).  A donor's
-       candidate queue is its own-element list read from the end
-       (latest first), so taking the first RAW-eligible candidate in
-       the ``steal_tries`` window pops it in O(window) and leaves the
-       skipped ones in order.  A scan reads the window by negative
-       offset from the front over one precomputed range (a shorter
-       range only when the queue is shorter than the window).
-       Eligibility is one lookup in the hole PE's expiry list, and a
-       take writes its row's expiry from its cycle's ``until``.  Once a
-       cycle's worth of holes in a row has failed, the walk jumps to the
-       first slot at which any window row unblocks in its PE: nothing
-       changes the window or the expiry lists until a take, so every
-       hole jumped over would fail the same scan, and it is counted in
-       ``raw_skips`` as if scanned (``scheduler.crhcs.jumped_holes``
-       counts them; a bisect of the occupied list finds the occupied
-       slots among them).
-    3. *Lay out.*  The walk appends every take of the ring to one flat
-       pair of lists (donor slots and destination holes).  When the
-       ring finishes, its state gives each channel's header in
-       O(channels): it holds its foreign elements, the own elements no
-       destination took (its queue) and what its steps moved in, and
-       its last occupied slot is the largest of the three lists' last
-       (each step fills its holes in stream order).  List lengths and
-       element counts are all that compaction, trimming, verification
-       and the figures of merit read, so the rest of the phase runs on
-       the first read of any plane of the tile
-       (:func:`_lay_out_migrated`): each list is converted to an array
-       once, a dense table from flat slot key to element finds every
-       moved element, whose channel and slot are overwritten at once,
+       and compact row ids, as int64 arrays with per-channel bounds)
+       and, when the table holds foreign elements (moved in by an
+       earlier migration), their slots.  A row's id is its rank among
+       the distinct own rows, read from a presence table and a rank
+       table as long as the tile's largest own row: O(rows in the
+       tile), no sort.
+    2. *Walk.*  One call per tile, to the compiled kernel
+       (``crhcs_walk.c``, built on first use and called through
+       :mod:`ctypes`; see :mod:`repro.scheduling.walk_kernel`) or, on a
+       host that cannot build it, to :func:`_python_walk`, which is
+       also the reference the kernel is tested against.  Both take the
+       arrays of phase 1 and return the same results; the kernel
+       touches no Python object, so the interpreter lock is released
+       for the call.  Each (destination, donor) step walks the
+       destination's slots in stream order over the equalised length
+       (the longest of the table's list lengths) with a running PE
+       index, passing occupied slots.  No occupancy is stored: at its
+       turn a destination's occupied slots are exactly its foreign
+       elements, its own elements no earlier destination took (its
+       queue, already ascending; no channel donates to itself) and what
+       its earlier steps moved in, so the walk passes them with a
+       pointer into one sorted list of them, and a donated slot is a
+       hole when its channel's turn as destination comes (Fig. 5d).  A
+       donor's candidate queue is its own-element list read from the
+       end (latest first), so taking the first RAW-eligible candidate
+       in the ``steal_tries`` window pops it in O(window) and leaves the
+       skipped ones in order.  Eligibility is one lookup in the hole
+       PE's expiry list, and a take writes its row's expiry from its
+       cycle's ``until``.  Once a cycle's worth of holes in a row has
+       failed, the walk jumps to the first slot at which any window row
+       unblocks in its PE: nothing changes the window or the expiry
+       lists until a take, so every hole jumped over would fail the
+       same scan, and it is counted in ``raw_skips`` as if scanned
+       (``scheduler.crhcs.jumped_holes`` counts them; a bisect of the
+       occupied list finds the occupied slots among them).  The walk
+       returns every take of the ring as one pair of int64 arrays
+       (donor slots and destination holes), one record per step (its
+       takes, raw skips, takes before its first raw skip, holes
+       jumped) and each channel's queue length and last queued slot.
+    3. *Lay out.*  One Python path, whichever walk ran, reads the
+       records into the report (a step with raw skips and no take
+       still keys its channel pair), the ``scheduler.crhcs.*`` walk
+       counters and each channel's header in O(channels): a channel
+       holds its foreign elements, the own elements no destination took
+       (its queue) and what its steps moved in, and its last occupied
+       slot is the largest of the three lists' last (each step fills
+       its holes in stream order).  List lengths and element counts are
+       all that compaction, trimming, verification and the figures of
+       merit read, so the rest of the phase runs on the first read of
+       any plane of the tile (:func:`_lay_out_migrated`): a dense table
+       from flat slot key to element finds every moved element, whose
+       channel and slot are overwritten at once from the take arrays,
        and the grids are laid out in one allocation with one scatter
        per field (:meth:`ChannelGrid.tile_grids`), so each ``capacity``
        is the last occupied cycle + 1 and the planes are read-only.
@@ -225,35 +236,140 @@ def migrate_elements(
     present = np.zeros(int(own_rows.max(initial=-1)) + 1, dtype=bool)
     present[own_rows] = True
     row_ids = np.flatnonzero(present)
-    rank = np.empty(present.size, dtype=np.intp)
+    rank = np.empty(present.size, dtype=np.int64)
     rank[row_ids] = np.arange(row_ids.size)
-    candidate_rows = rank[own_rows].tolist()
-    candidate_slots = elem_slots[own].tolist()
-    bounds = np.searchsorted(
-        elem_channels[own], np.arange(channels + 1)
-    ).tolist()
+    ring = np.arange(channels + 1)
+    queue_slots = elem_slots[own].astype(np.int64, copy=False)
+    queue_rows = rank[own_rows]
+    bounds = np.searchsorted(elem_channels[own], ring).astype(np.int64)
+    # Foreign elements (migrated in by an earlier pass) are never
+    # candidates, so they hold their slots through the whole ring.
+    if queue_slots.size < elem_slots.size:
+        foreign = ~own
+        foreign_slots = elem_slots[foreign].astype(np.int64)
+        foreign_bounds = np.searchsorted(
+            elem_channels[foreign], ring
+        ).astype(np.int64)
+    else:
+        foreign_slots = np.empty(0, dtype=np.int64)
+        foreign_bounds = np.zeros(channels + 1, dtype=np.int64)
+
+    # Phase 2, on the compiled kernel when this host has one.
+    walk = walk_kernel.compiled_walk() or _python_walk
+    taken, filled, records, queued, queue_tops = walk(
+        pes, distance, migration_span, steal_tries, longest, row_ids.size,
+        bounds, queue_slots, queue_rows, foreign_bounds, foreign_slots,
+    )
+
+    # The walk's records, one per (destination, step), give the report,
+    # the counters and, per destination, the elements moved in and the
+    # last hole they filled (each step fills its holes in stream order).
+    steps: List[Tuple[int, int, int]] = []
+    moved_in = [0] * channels
+    last_filled = [-1] * channels
+    prefix_slots = 0
+    walk_slots = 0
+    jumped_holes = 0
+    at = 0
+    record = iter(records)
+    for c in range(channels):
+        fresh = True
+        for step in range(1, migration_span + 1):
+            migrated_here, raw_skips, prefix, jumped = next(record)
+            jumped_holes += jumped
+            donor_id = (c + step) % channels
+            if migrated_here:
+                steps.append((c, donor_id, migrated_here))
+                moved_in[c] += migrated_here
+                at += migrated_here
+                last_filled[c] = max(last_filled[c], int(filled[at - 1]))
+            # The step's prefix (``scheduler.crhcs.prefix_slots``): slots
+            # filled before its first RAW skip, counted only while nothing
+            # has migrated into this destination yet.
+            if not fresh:
+                prefix = 0
+            elif prefix < 0:
+                prefix = migrated_here
+            prefix_slots += prefix
+            walk_slots += migrated_here - prefix
+            fresh = fresh and not migrated_here
+            if report is not None and (migrated_here or raw_skips):
+                report.own_issues -= migrated_here
+                report.migrated += migrated_here
+                report.raw_skips += raw_skips
+                report.pair_counts[(c, donor_id)] += migrated_here
+
+    t = telemetry.get()
+    if t.enabled:
+        t.counter("scheduler.crhcs.prefix_slots", prefix_slots)
+        t.counter("scheduler.crhcs.walk_slots", walk_slots)
+        t.counter("scheduler.crhcs.jumped_holes", jumped_holes)
+
+    # The headers.  After the ring, a channel holds its foreign
+    # elements, the own elements no destination took (its queue, whose
+    # takes came off the tail) and what its steps moved in.
+    foreign_ends = foreign_bounds.tolist()
+    counts = []
+    top_cycles = []
+    for c in range(channels):
+        lo, hi = foreign_ends[c], foreign_ends[c + 1]
+        counts.append(queued[c] + hi - lo + moved_in[c])
+        top_cycles.append(max(
+            queue_tops[c], int(foreign_slots[hi - 1]) if hi > lo else -1,
+            last_filled[c],
+        ) // pes)
+    return ChannelGrid.pending_tile(
+        pes, [top + 1 for top in top_cycles], counts, top_cycles,
+        partial(_lay_out_migrated, elements, pes, end, steps, taken, filled),
+    )
+
+
+def _python_walk(
+    pes: int,
+    distance: int,
+    span: int,
+    steal_tries: int,
+    longest: int,
+    n_rows: int,
+    bounds: np.ndarray,
+    queue_slots: np.ndarray,
+    queue_rows: np.ndarray,
+    foreign_bounds: np.ndarray,
+    foreign_slots: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, list, List[int], List[int]]:
+    """Phase 2 of :func:`migrate_elements` in Python: the ring walk.
+
+    Channel *c*'s queue is ``queue_slots``/``queue_rows[bounds[c]:
+    bounds[c + 1]]`` (ascending slots, compact row ids) and its foreign
+    elements' slots are ``foreign_slots[foreign_bounds[c]:
+    foreign_bounds[c + 1]]``.  Returns the takes (donor slots, then
+    destination holes, as int64 arrays in ring order), one record per
+    (destination, step), destination-major (takes, raw skips, takes
+    before the first raw skip or -1, holes jumped), and each channel's
+    queue length and last queued slot (-1 when empty) after the ring.
+    The compiled kernel (:func:`repro.scheduling.walk_kernel.run_walk`)
+    returns the same.
+    """
+    channels = bounds.size - 1
+    end = longest * pes
+    bounds = bounds.tolist()
+    candidate_slots = queue_slots.tolist()
+    candidate_rows = queue_rows.tolist()
     queue_slots = [
         candidate_slots[lo:hi] for lo, hi in zip(bounds, bounds[1:])
     ]
     queue_rows = [candidate_rows[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    # Foreign elements (migrated in by an earlier pass) are never
-    # candidates, so they hold their slots through the whole ring.
-    foreign: List[List[int]] = [[] for _ in range(channels)]
-    if len(candidate_slots) < elem_slots.size:
-        moved_in = ~own
-        foreign_slots = elem_slots[moved_in].tolist()
-        bounds = np.searchsorted(
-            elem_channels[moved_in], np.arange(channels + 1)
-        ).tolist()
-        foreign = [
-            foreign_slots[lo:hi] for lo, hi in zip(bounds, bounds[1:])
-        ]
+    all_foreign = foreign_slots.tolist()
+    foreign_ends = foreign_bounds.tolist()
+    foreign = [
+        all_foreign[lo:hi] for lo, hi in zip(foreign_ends, foreign_ends[1:])
+    ]
     # expiry[pe][row id]: the first cycle at which the row may issue again
     # in that PE of the current destination (§3.3), kept as the flat slot
     # id of that cycle's PE 0 plus ``base``.  Each destination raises
     # ``base`` past every entry its predecessors left, so those read as
     # expired without a reset.
-    expiry = [[0] * row_ids.size for _ in range(pes)]
+    expiry = [[0] * n_rows for _ in range(pes)]
     reach = distance * pes
     base = 0
     # When the queue front is blocked, the scan reads the window below it
@@ -261,19 +377,11 @@ def migrate_elements(
     # shorter.
     scan = range(-2, -steal_tries - 1, -1)
 
-    # Phase 2.  Every step's takes go on one flat pair of lists:
-    # ``taken`` (the donor slots) and ``filled`` (the destination holes),
-    # with one (destination, donor, count) entry per step in ``steps``.
+    # Every step's takes go on one flat pair of lists: ``taken`` (the
+    # donor slots) and ``filled`` (the destination holes).
     taken: List[int] = []
     filled: List[int] = []
-    steps: List[Tuple[int, int, int]] = []
-    # Per destination: elements moved in and the last hole they filled
-    # (each step fills its holes in stream order).
-    moved_in = [0] * channels
-    last_filled = [-1] * channels
-    prefix_slots = 0
-    walk_slots = 0
-    jumped_holes = 0
+    records: List[Tuple[int, int, int, int]] = []
     for c in range(channels):
         # The destination's occupied slots at its turn, ascending: its
         # foreign elements, its own elements no earlier destination took
@@ -285,19 +393,18 @@ def migrate_elements(
             occupied.append(end)
         else:
             occupied = queue_slots[c] + [end]
-        fresh = True
-        for step in range(1, migration_span + 1):
+        for step in range(1, span + 1):
             donor_id = (c + step) % channels
             slots = queue_slots[donor_id]
             rows = queue_rows[donor_id]
             if not slots:
+                records.append((0, 0, -1, 0))
                 continue
             start = len(taken)
             raw_skips = 0
-            # The step's prefix (``scheduler.crhcs.prefix_slots``): slots
-            # filled before its first RAW skip, counted only while nothing
-            # has migrated into this destination yet.
+            # Takes before the step's first RAW skip (-1: none yet).
             prefix = -1
+            jumped_holes = 0
             # Holes that failed in a row since the last take.
             failed = 0
             # The walk: ``hole`` is the flat slot, ``pe`` its PE and
@@ -380,47 +487,16 @@ def migrate_elements(
                     break
 
             migrated_here = len(taken) - start
-            if migrated_here:
-                steps.append((c, donor_id, migrated_here))
-                moved_in[c] += migrated_here
-                last_filled[c] = max(last_filled[c], filled[-1])
-                if step < migration_span:
-                    occupied = sorted(occupied + filled[start:])
-            if not fresh:
-                prefix = 0
-            elif prefix < 0:
-                prefix = migrated_here
-            prefix_slots += prefix
-            walk_slots += migrated_here - prefix
-            fresh = fresh and not migrated_here
-            if report is not None and (migrated_here or raw_skips):
-                report.own_issues -= migrated_here
-                report.migrated += migrated_here
-                report.raw_skips += raw_skips
-                report.pair_counts[(c, donor_id)] += migrated_here
+            records.append((migrated_here, raw_skips, prefix, jumped_holes))
+            if migrated_here and step < span:
+                occupied = sorted(occupied + filled[start:])
         base += (longest + distance) * pes
-
-    t = telemetry.get()
-    if t.enabled:
-        t.counter("scheduler.crhcs.prefix_slots", prefix_slots)
-        t.counter("scheduler.crhcs.walk_slots", walk_slots)
-        t.counter("scheduler.crhcs.jumped_holes", jumped_holes)
-
-    # The headers.  After the ring, a channel holds its foreign
-    # elements, the own elements no destination took (its queue, whose
-    # takes came off the tail) and what its steps moved in.
-    counts = []
-    top_cycles = []
-    for queue, held, arrived, last in zip(
-        queue_slots, foreign, moved_in, last_filled
-    ):
-        counts.append(len(queue) + len(held) + arrived)
-        top_cycles.append(max(
-            queue[-1] if queue else -1, held[-1] if held else -1, last,
-        ) // pes)
-    return ChannelGrid.pending_tile(
-        pes, [top + 1 for top in top_cycles], counts, top_cycles,
-        partial(_lay_out_migrated, elements, pes, end, steps, taken, filled),
+    return (
+        np.array(taken, dtype=np.int64),
+        np.array(filled, dtype=np.int64),
+        records,
+        [len(queue) for queue in queue_slots],
+        [queue[-1] if queue else -1 for queue in queue_slots],
     )
 
 
@@ -429,33 +505,31 @@ def _lay_out_migrated(
     pes: int,
     end: int,
     steps: List[Tuple[int, int, int]],
-    taken: List[int],
-    filled: List[int],
+    taken: np.ndarray,
+    filled: np.ndarray,
 ) -> List[ChannelGrid]:
     """Phase 3 of :func:`migrate_elements`: the migrated tile's layout.
 
-    A donor's own elements sit at their original slots until taken, and
-    each is taken at most once, so a taken slot's key (``channel * end +
-    slot``) names the element (``element_at`` is read only at element
-    keys).
+    ``taken``/``filled`` are the walk's takes (donor slots, destination
+    holes) in ring order, ``steps`` their (destination, donor, count)
+    runs.  A donor's own elements sit at their original slots until
+    taken, and each is taken at most once, so a taken slot's key
+    (``channel * end + slot``) names the element (``element_at`` is read
+    only at element keys).
     """
     channels = len(elements.lengths)
     elem_channels = elements.channels
     elem_slots = elements.slots
     if steps:
         dests, donors, sizes = zip(*steps)
-        count = len(taken)
         keys = elem_channels * end + elem_slots
         element_at = np.empty(channels * end, dtype=np.intp)
         element_at[keys] = np.arange(keys.size)
-        moved = element_at[
-            np.repeat(donors, sizes) * end
-            + np.fromiter(taken, np.int64, count)
-        ]
+        moved = element_at[np.repeat(donors, sizes) * end + taken]
         elem_channels = elem_channels.copy()
         elem_slots = elem_slots.copy()
         elem_channels[moved] = np.repeat(dests, sizes)
-        elem_slots[moved] = np.fromiter(filled, np.int64, count)
+        elem_slots[moved] = filled
     return ChannelGrid.tile_grids(
         channels, pes, elem_channels, elem_slots, elements.rows,
         elements.cols, elements.values, elements.origin_channels,

@@ -447,15 +447,14 @@ class ServingEngine:
         displacement) as one-shot requests — that is the cross-session
         fairness mechanism — but never coalesces (each iteration slice
         is unique work) and only batches with work of its own session,
-        which preserves per-session in-order execution.
+        which preserves per-session in-order execution.  Nothing looks
+        its key up (it never enters ``_inflight``, and only one-shot work
+        is audited), so the key is the request id, not a digest.
         """
-        work = request.work
         entry = _Entry(
             request, next(self._seq), _SESSION_SPEC, None,
-            group=("session", work.session_id),
-            work_fp=fingerprint(
-                "session-work", work.session_id, str(request.request_id)
-            ),
+            group=("session", request.work.session_id),
+            work_fp=str(request.request_id),
             now=now, trace=trace, owns_root=owns_root,
         )
         return self._admit(entry, now, t)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -363,6 +364,32 @@ class TestSessionBooks:
         ]) == 0
         out = capsys.readouterr().out
         assert "30 iterations in 6 steps" in out
+
+    def test_a_step_computes_no_fingerprint(self, monkeypatch):
+        """Session work never coalesces and is never audited, so the
+        engine keys it by its request id: a warm step computes no
+        digest."""
+        from repro.pipeline.fingerprint import fingerprint as original
+
+        calls = []
+
+        def counted(*parts, **kwargs):
+            calls.append(parts[0])
+            return original(*parts, **kwargs)
+
+        for loaded in list(sys.modules.values()):
+            if getattr(loaded, "fingerprint", None) is original:
+                monkeypatch.setattr(loaded, "fingerprint", counted)
+        with ServingEngine(workers=1) as engine, \
+                SessionManager(engine=engine) as manager:
+            session = manager.open(
+                laplacian_1d(16), tolerance=0, max_iterations=20
+            )
+            session.step(iterations=2)
+            calls.clear()
+            session.step(iterations=2)
+            session.step(iterations=2)
+        assert calls == []
 
     def test_a_failed_lease_holds_no_slot(self):
         matrix = laplacian_1d(16)
