@@ -23,8 +23,9 @@ Two modes are provided:
     Reduction Unit.  Donated slots become stalls in the donor (Fig. 5d);
     trailing all-stall cycles are trimmed and all lists are resized to the
     longest one (§3.1).  The host runs this as one exact pass per tile
-    over flat per-channel arrays (:func:`migrate_elements`; its walk is one
-    call to a small C kernel where the host can build one), slot for slot
+    over the build's element table (:func:`migrate_elements`; its index and
+    walk are one call to a small C kernel where the host can build one,
+    as is the build), slot for slot
     the reference walk kept in :mod:`repro.scheduling.legacy`, and lays
     the migrated lists out only when something reads their planes.
 
@@ -139,25 +140,25 @@ def migrate_elements(
     Reads the tile's element table and returns the migrated grids, each
     list ending at its last non-zero, as headers whose planes are laid
     out on first read (:meth:`ChannelGrid.pending_tile`).  One exact
-    pass, in three phases, the last of them deferred:
+    pass, in three phases, the last of them deferred.  Phases 1 and 2
+    are one call per tile, fed the table's ``channels``, ``slots``,
+    ``rows`` and ``origin_channels``: to the compiled kernel
+    (``crhcs_walk`` in ``crhcs_walk.c``, built on first use and called
+    through :mod:`ctypes`; see :mod:`repro.scheduling.walk_kernel`) or,
+    on a host that cannot build it, to :func:`_python_walk`, which is
+    also the reference the kernel is tested against.  Both return the
+    same results; the kernel touches no Python object, so the
+    interpreter lock is released for the call, and this function packs
+    nothing for it.
 
     1. *Index.*  The table already holds every element channel-major in
        stream order with its fields (a slot is the flat id ``cycle *
-       pes + pe``).  From it build each channel's own elements (slots
-       and compact row ids, as int64 arrays with per-channel bounds)
-       and, when the table holds foreign elements (moved in by an
-       earlier migration), their slots.  A row's id is its rank among
-       the distinct own rows, read from a presence table and a rank
-       table as long as the tile's largest own row: O(rows in the
-       tile), no sort.
-    2. *Walk.*  One call per tile, to the compiled kernel
-       (``crhcs_walk.c``, built on first use and called through
-       :mod:`ctypes`; see :mod:`repro.scheduling.walk_kernel`) or, on a
-       host that cannot build it, to :func:`_python_walk`, which is
-       also the reference the kernel is tested against.  Both take the
-       arrays of phase 1 and return the same results; the kernel
-       touches no Python object, so the interpreter lock is released
-       for the call.  Each (destination, donor) step walks the
+       pes + pe``).  From it the walk builds each channel's own elements
+       (slots and compact row ids, with per-channel bounds) and the
+       slots of its foreign elements (moved in by an earlier
+       migration).  A row's id is its rank among the distinct own rows
+       (a radix sort in the kernel, a presence table in Python).
+    2. *Walk.*  Each (destination, donor) step walks the
        destination's slots in stream order over the equalised length
        (the longest of the table's list lengths) with a running PE
        index, passing occupied slots.  No occupancy is stored: at its
@@ -182,23 +183,22 @@ def migrate_elements(
        returns every take of the ring as one pair of int64 arrays
        (donor slots and destination holes), one record per step (its
        takes, raw skips, takes before its first raw skip, holes
-       jumped) and each channel's queue length and last queued slot.
+       jumped) and each channel's header: its element count (foreign
+       elements, the own elements no destination took and what its
+       steps moved in) and its last occupied cycle.
     3. *Lay out.*  One Python path, whichever walk ran, reads the
        records into the report (a step with raw skips and no take
-       still keys its channel pair), the ``scheduler.crhcs.*`` walk
-       counters and each channel's header in O(channels): a channel
-       holds its foreign elements, the own elements no destination took
-       (its queue) and what its steps moved in, and its last occupied
-       slot is the largest of the three lists' last (each step fills
-       its holes in stream order).  List lengths and element counts are
-       all that compaction, trimming, verification and the figures of
-       merit read, so the rest of the phase runs on the first read of
-       any plane of the tile (:func:`_lay_out_migrated`): a dense table
-       from flat slot key to element finds every moved element, whose
-       channel and slot are overwritten at once from the take arrays,
-       and the grids are laid out in one allocation with one scatter
-       per field (:meth:`ChannelGrid.tile_grids`), so each ``capacity``
-       is the last occupied cycle + 1 and the planes are read-only.
+       still keys its channel pair) and the ``scheduler.crhcs.*`` walk
+       counters, and hands on the headers.  List lengths and element
+       counts are all that compaction, trimming, verification and the
+       figures of merit read, so the rest of the phase runs on the
+       first read of any plane of the tile (:func:`_lay_out_migrated`):
+       a dense table from flat slot key to element finds every moved
+       element, whose channel and slot are overwritten at once from the
+       take arrays, and the grids are laid out in one allocation with
+       one scatter per field (:meth:`ChannelGrid.tile_grids`), so each
+       ``capacity`` is the last occupied cycle + 1 and the planes are
+       read-only.
 
     The result is slot-for-slot the walk of
     :func:`repro.scheduling.legacy.legacy_migrate_grids`.
@@ -210,13 +210,8 @@ def migrate_elements(
     pes = config.pes_per_channel
     distance = config.accumulator_latency
 
-    # Phase 1.
-    elem_channels = elements.channels
-    elem_slots = elements.slots
-    elem_rows = elements.rows
-    elem_origin_channels = elements.origin_channels
     if report is not None:
-        report.own_issues += elem_slots.size
+        report.own_issues += elements.slots.size
     if migration_span == 0 or channels < 2:
         grids = elements.grids()
         for grid in grids:
@@ -225,52 +220,22 @@ def migrate_elements(
 
     # §3.1: the data lists are resized to the longest one; the padded
     # stalls of short (even empty) channels are exactly the slots
-    # migration fills.
+    # migration fills.  Phases 1 and 2, on the compiled kernel when this
+    # host has one.
     longest = max(elements.lengths)
-    end = longest * pes
-    # A donor's queue is its own elements in stream order, so the queue
-    # front (its latest element) is the end of the list.  A row's id is
-    # its rank among the distinct own rows (``row_ids``).
-    own = elem_origin_channels == elem_channels
-    own_rows = elem_rows[own]
-    present = np.zeros(int(own_rows.max(initial=-1)) + 1, dtype=bool)
-    present[own_rows] = True
-    row_ids = np.flatnonzero(present)
-    rank = np.empty(present.size, dtype=np.int64)
-    rank[row_ids] = np.arange(row_ids.size)
-    ring = np.arange(channels + 1)
-    queue_slots = elem_slots[own].astype(np.int64, copy=False)
-    queue_rows = rank[own_rows]
-    bounds = np.searchsorted(elem_channels[own], ring).astype(np.int64)
-    # Foreign elements (migrated in by an earlier pass) are never
-    # candidates, so they hold their slots through the whole ring.
-    if queue_slots.size < elem_slots.size:
-        foreign = ~own
-        foreign_slots = elem_slots[foreign].astype(np.int64)
-        foreign_bounds = np.searchsorted(
-            elem_channels[foreign], ring
-        ).astype(np.int64)
-    else:
-        foreign_slots = np.empty(0, dtype=np.int64)
-        foreign_bounds = np.zeros(channels + 1, dtype=np.int64)
-
-    # Phase 2, on the compiled kernel when this host has one.
     walk = walk_kernel.compiled_walk() or _python_walk
-    taken, filled, records, queued, queue_tops = walk(
-        pes, distance, migration_span, steal_tries, longest, row_ids.size,
-        bounds, queue_slots, queue_rows, foreign_bounds, foreign_slots,
+    taken, filled, records, counts, top_cycles = walk(
+        channels, pes, distance, migration_span, steal_tries, longest,
+        elements.channels, elements.slots, elements.rows,
+        elements.origin_channels,
     )
 
     # The walk's records, one per (destination, step), give the report,
-    # the counters and, per destination, the elements moved in and the
-    # last hole they filled (each step fills its holes in stream order).
+    # the counters and the layout's (destination, donor, takes) runs.
     steps: List[Tuple[int, int, int]] = []
-    moved_in = [0] * channels
-    last_filled = [-1] * channels
     prefix_slots = 0
     walk_slots = 0
     jumped_holes = 0
-    at = 0
     record = iter(records)
     for c in range(channels):
         fresh = True
@@ -280,9 +245,6 @@ def migrate_elements(
             donor_id = (c + step) % channels
             if migrated_here:
                 steps.append((c, donor_id, migrated_here))
-                moved_in[c] += migrated_here
-                at += migrated_here
-                last_filled[c] = max(last_filled[c], int(filled[at - 1]))
             # The step's prefix (``scheduler.crhcs.prefix_slots``): slots
             # filled before its first RAW skip, counted only while nothing
             # has migrated into this destination yet.
@@ -304,66 +266,68 @@ def migrate_elements(
         t.counter("scheduler.crhcs.prefix_slots", prefix_slots)
         t.counter("scheduler.crhcs.walk_slots", walk_slots)
         t.counter("scheduler.crhcs.jumped_holes", jumped_holes)
-
-    # The headers.  After the ring, a channel holds its foreign
-    # elements, the own elements no destination took (its queue, whose
-    # takes came off the tail) and what its steps moved in.
-    foreign_ends = foreign_bounds.tolist()
-    counts = []
-    top_cycles = []
-    for c in range(channels):
-        lo, hi = foreign_ends[c], foreign_ends[c + 1]
-        counts.append(queued[c] + hi - lo + moved_in[c])
-        top_cycles.append(max(
-            queue_tops[c], int(foreign_slots[hi - 1]) if hi > lo else -1,
-            last_filled[c],
-        ) // pes)
     return ChannelGrid.pending_tile(
         pes, [top + 1 for top in top_cycles], counts, top_cycles,
-        partial(_lay_out_migrated, elements, pes, end, steps, taken, filled),
+        partial(_lay_out_migrated, elements, pes, longest * pes, steps,
+                taken, filled),
     )
 
 
 def _python_walk(
+    channels: int,
     pes: int,
     distance: int,
     span: int,
     steal_tries: int,
     longest: int,
-    n_rows: int,
-    bounds: np.ndarray,
-    queue_slots: np.ndarray,
-    queue_rows: np.ndarray,
-    foreign_bounds: np.ndarray,
-    foreign_slots: np.ndarray,
+    elem_channels: np.ndarray,
+    elem_slots: np.ndarray,
+    elem_rows: np.ndarray,
+    elem_origins: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray, list, List[int], List[int]]:
-    """Phase 2 of :func:`migrate_elements` in Python: the ring walk.
+    """Phases 1 and 2 of :func:`migrate_elements` in Python: the index
+    and the ring walk of one tile's element table (its ``channels``,
+    ``slots``, ``rows`` and ``origin_channels``).
 
-    Channel *c*'s queue is ``queue_slots``/``queue_rows[bounds[c]:
-    bounds[c + 1]]`` (ascending slots, compact row ids) and its foreign
-    elements' slots are ``foreign_slots[foreign_bounds[c]:
-    foreign_bounds[c + 1]]``.  Returns the takes (donor slots, then
-    destination holes, as int64 arrays in ring order), one record per
-    (destination, step), destination-major (takes, raw skips, takes
-    before the first raw skip or -1, holes jumped), and each channel's
-    queue length and last queued slot (-1 when empty) after the ring.
-    The compiled kernel (:func:`repro.scheduling.walk_kernel.run_walk`)
-    returns the same.
+    Returns the takes (donor slots, then destination holes, as int64
+    arrays in ring order), one record per (destination, step),
+    destination-major (takes, raw skips, takes before the first raw skip
+    or -1, holes jumped), and each channel's element count and last
+    occupied cycle (-1 when empty) after the ring.  The compiled kernel
+    (:func:`repro.scheduling.walk_kernel.run_walk`) returns the same.
     """
-    channels = bounds.size - 1
     end = longest * pes
-    bounds = bounds.tolist()
-    candidate_slots = queue_slots.tolist()
-    candidate_rows = queue_rows.tolist()
+    # Phase 1.  A donor's queue is its own elements in stream order, so
+    # the queue front (its latest element) is the end of the list.  A
+    # row's id is its rank among the distinct own rows (``row_ids``),
+    # read from a presence table and a rank table as long as the tile's
+    # largest own row.
+    own = elem_origins == elem_channels
+    own_rows = elem_rows[own]
+    present = np.zeros(int(own_rows.max(initial=-1)) + 1, dtype=bool)
+    present[own_rows] = True
+    row_ids = np.flatnonzero(present)
+    n_rows = row_ids.size
+    rank = np.empty(present.size, dtype=np.int64)
+    rank[row_ids] = np.arange(n_rows)
+    ring = np.arange(channels + 1)
+    bounds = np.searchsorted(elem_channels[own], ring).tolist()
+    candidate_slots = elem_slots[own].tolist()
+    candidate_rows = rank[own_rows].tolist()
     queue_slots = [
         candidate_slots[lo:hi] for lo, hi in zip(bounds, bounds[1:])
     ]
     queue_rows = [candidate_rows[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    all_foreign = foreign_slots.tolist()
-    foreign_ends = foreign_bounds.tolist()
-    foreign = [
+    # Foreign elements (migrated in by an earlier pass) are never
+    # candidates, so they hold their slots through the whole ring.
+    foreign = ~own
+    foreign_ends = np.searchsorted(elem_channels[foreign], ring).tolist()
+    all_foreign = elem_slots[foreign].tolist()
+    foreign_slots = [
         all_foreign[lo:hi] for lo, hi in zip(foreign_ends, foreign_ends[1:])
     ]
+
+    # Phase 2.
     # expiry[pe][row id]: the first cycle at which the row may issue again
     # in that PE of the current destination (§3.3), kept as the flat slot
     # id of that cycle's PE 0 plus ``base``.  Each destination raises
@@ -388,8 +352,8 @@ def _python_walk(
         # (its queue; no channel donates to itself) and, from its second
         # step on, what its earlier steps moved in.  ``end`` closes the
         # list, so the walk's pointer never runs off it.
-        if foreign[c]:
-            occupied = sorted(foreign[c] + queue_slots[c])
+        if foreign_slots[c]:
+            occupied = sorted(foreign_slots[c] + queue_slots[c])
             occupied.append(end)
         else:
             occupied = queue_slots[c] + [end]
@@ -491,12 +455,32 @@ def _python_walk(
             if migrated_here and step < span:
                 occupied = sorted(occupied + filled[start:])
         base += (longest + distance) * pes
+
+    # After the ring a channel holds its foreign elements, the own
+    # elements no destination took (its queue, whose takes came off the
+    # tail) and what its steps moved in; each step fills its holes in
+    # stream order, so its last hole is its last take's.
+    counts = []
+    top_cycles = []
+    at = 0
+    record = iter(records)
+    for c in range(channels):
+        moved_in = 0
+        top = max(queue_slots[c][-1:] + foreign_slots[c][-1:], default=-1)
+        for _ in range(span):
+            migrated_here = next(record)[0]
+            if migrated_here:
+                moved_in += migrated_here
+                at += migrated_here
+                top = max(top, filled[at - 1])
+        counts.append(len(queue_slots[c]) + len(foreign_slots[c]) + moved_in)
+        top_cycles.append(top // pes)
     return (
         np.array(taken, dtype=np.int64),
         np.array(filled, dtype=np.int64),
         records,
-        [len(queue) for queue in queue_slots],
-        [queue[-1] if queue else -1 for queue in queue_slots],
+        counts,
+        top_cycles,
     )
 
 

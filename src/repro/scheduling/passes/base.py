@@ -50,6 +50,7 @@ from typing import List, Optional, Tuple
 from ..base import ChannelGrid, TileElements
 from ..stats import MigrationReport
 from ..window import Tile
+from .fingerprint import encode
 
 
 @dataclass
@@ -129,6 +130,15 @@ class SchedulePass:
     def signature(self) -> Tuple[object, ...]:
         """The digest-chain contribution: token + version + parameters."""
         return (self.token, self.version, self.params())
+
+    def encoded_signature(self) -> bytes:
+        """:meth:`signature`, encoded once per pass (a pass's parameters
+        are fixed when it is made), so each step of a tile's digest
+        chain is ``fingerprint("pass", upstream, tail=encoded)``."""
+        encoded = self.__dict__.get("_encoded_signature")
+        if encoded is None:
+            encoded = self._encoded_signature = encode(self.signature())
+        return encoded
 
     def run_tile(self, state: TileState, ir: ScheduleIR) -> None:
         raise NotImplementedError

@@ -49,7 +49,9 @@ def _encode(value: Any, h: "hashlib._Hash") -> None:
     elif isinstance(value, np.ndarray):
         h.update(b"\x06a" + str(value.dtype).encode()
                  + str(value.shape).encode())
-        h.update(np.ascontiguousarray(value).tobytes())
+        # The C-order bytes, read through the buffer protocol: no copy
+        # of an array that is already contiguous.
+        h.update(np.ascontiguousarray(value))
     elif dataclasses.is_dataclass(value) and not isinstance(value, type):
         h.update(b"\x07d" + type(value).__name__.encode())
         for f in dataclasses.fields(value):
@@ -72,7 +74,8 @@ def _encode(value: Any, h: "hashlib._Hash") -> None:
 
 
 class _Encoding(list):
-    """Stands in for a digest: keeps the chunks :func:`_encode` feeds."""
+    """Stands in for a digest: keeps the chunks :func:`_encode` feeds
+    (bytes, or arrays read as their buffers when joined)."""
 
     update = list.append
 

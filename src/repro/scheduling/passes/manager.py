@@ -258,7 +258,7 @@ class PassManager:
             chain: List[str] = []
             for schedule_pass in self.passes:
                 digest = fingerprint(
-                    "pass", digest, schedule_pass.signature()
+                    "pass", digest, tail=schedule_pass.encoded_signature()
                 )
                 chain.append(digest)
             chains.append(chain)

@@ -36,6 +36,7 @@ from .base import (
     ChannelGrid, Schedule, TiledSchedule, TileElements, pe_for_row,
 )
 from .passes import PassManager, register_builder, resolve_passes
+from . import walk_kernel
 from .registry import register_scheme
 from .window import Tile, tile_matrix
 
@@ -180,6 +181,42 @@ def pe_aware_elements(tile: Tile, config: AcceleratorConfig) -> TileElements:
     This is the intermediate CrHCS starts from: each channel is as long as
     its own slowest PE, before the global resize of §3.1.
 
+    Elements go in (global PE, row, column) order with ties in input
+    order; each round-robin window's rotation count and base cycle give
+    every element's slot (``base + lane + rotation × distance``), and the
+    table holds the elements in channel-major stream order.  No plane is
+    laid out (:func:`pe_aware_grids` does that).  The build is one call
+    per tile to the compiled kernel (``pe_aware_build`` in
+    ``crhcs_walk.c``; see :mod:`repro.scheduling.walk_kernel`) or, on a
+    host that cannot build it, to :func:`_numpy_build`, which is also the
+    reference the kernel is tested against.  Both give the same table
+    and refuse a negative coordinate with the same error.
+    """
+    distance = config.accumulator_latency
+    if distance < 1:
+        raise SchedulingError("dependency distance must be >= 1")
+    if tile.nnz == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return TileElements(
+            config.pes_per_channel, (0,) * config.sparse_channels, empty,
+            empty, empty, empty, np.empty(0, dtype=np.float64), empty, empty,
+        )
+    build = walk_kernel.compiled_build() or _numpy_build
+    return build(
+        config.sparse_channels, config.pes_per_channel, distance,
+        np.asarray(tile.rows, dtype=np.int64),
+        np.asarray(tile.cols, dtype=np.int64),
+        np.asarray(tile.values, dtype=np.float64),
+    )
+
+
+def _numpy_build(
+    channels_n: int, ppc: int, distance: int, rows: np.ndarray,
+    cols: np.ndarray, values: np.ndarray,
+) -> TileElements:
+    """:func:`pe_aware_elements` in NumPy, for a tile of at least one
+    element (``rows``/``cols`` int64, ``values`` float64).
+
     The whole tile is scheduled in one vectorized pass: one stable radix
     sort (:func:`_stable_order`, one 16-bit pass per key for the tile
     coordinates of the U55c windows) puts elements in (global PE, row,
@@ -187,26 +224,13 @@ def pe_aware_elements(tile: Tile, config: AcceleratorConfig) -> TileElements:
     each round-robin window's rotation count and base cycle, and every
     element's slot follows from ``base + rotation × distance + lane`` —
     no per-element (or per-lane) Python loop.  One more sort puts the
-    elements in channel-major stream order; no plane is laid out
-    (:func:`pe_aware_grids` does that).
+    elements in channel-major stream order.  The compiled kernel
+    (:func:`repro.scheduling.walk_kernel.run_build`) returns the same.
     """
-    channels_n = config.sparse_channels
-    ppc = config.pes_per_channel
-    total_pes = config.total_pes
-    distance = config.accumulator_latency
-    if distance < 1:
-        raise SchedulingError("dependency distance must be >= 1")
-    nnz = tile.nnz
-    if nnz == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return TileElements(
-            ppc, (0,) * channels_n, empty, empty, empty, empty,
-            np.empty(0, dtype=np.float64), empty, empty,
-        )
-
-    rows = np.asarray(tile.rows, dtype=np.int64)
-    cols = np.asarray(tile.cols, dtype=np.int64)
-    values = np.asarray(tile.values, dtype=np.float64)
+    if rows.min() < 0 or cols.min() < 0:
+        raise SchedulingError(walk_kernel.NEGATIVE_COORDINATE)
+    total_pes = channels_n * ppc
+    nnz = rows.size
     gpe = rows % total_pes
     # (global PE, row, column) order: each PE's rows ascend, matching the
     # flush-on-window-change walk of schedule_single_pe_round_robin, and

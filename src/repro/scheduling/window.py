@@ -63,7 +63,27 @@ def tile_matrix(
 
     n_row_tiles = -(-coo.n_rows // row_window)
     n_col_tiles = -(-coo.n_cols // col_window)
+    if n_row_tiles == n_col_tiles == 1:
+        # One tile holds every element in input order: no key to sort.
+        return [Tile(
+            row_base=0,
+            col_base=0,
+            n_rows=coo.n_rows,
+            n_cols=coo.n_cols,
+            rows=coo.rows.copy(),
+            cols=coo.cols.copy(),
+            values=coo.values.copy(),
+        )]
+    return _sorted_tiles(coo, row_window, col_window)
 
+
+def _sorted_tiles(
+    coo: COOMatrix, row_window: int, col_window: int
+) -> List[Tile]:
+    """:func:`tile_matrix` for any number of tiles: one stable sort by
+    tile key puts each tile's elements together in input order."""
+    n_row_tiles = -(-coo.n_rows // row_window)
+    n_col_tiles = -(-coo.n_cols // col_window)
     row_tile = coo.rows // row_window
     col_tile = coo.cols // col_window
     tile_key = row_tile * n_col_tiles + col_tile

@@ -11,7 +11,7 @@ One :class:`Telemetry` instance owns a sink and three instrument kinds:
 * **counters** — monotonic accumulators keyed by ``(name, attrs)``.
   Increments are buffered in-process and emitted as one record per key at
   :meth:`Telemetry.flush` (called automatically on :meth:`close` and at
-  interpreter exit for env-configured telemetry).
+  interpreter exit).
 * **gauges** — last-value-wins samples that also aggregate
   count/min/max/mean into the record's attributes (FIFO high-water
   marks, throughput samples).
@@ -446,10 +446,16 @@ def get() -> TelemetryLike:
 
 
 def configure(target: Union[str, Sink]) -> Telemetry:
-    """Explicitly enable telemetry on a path, ``-`` (stderr), or sink."""
+    """Explicitly enable telemetry on a path, ``-`` (stderr), or sink.
+
+    Like the environment's telemetry, it is closed at interpreter exit
+    (a no-op once the caller has closed it), so buffered records and
+    pending counters reach the sink.
+    """
     global _active
     sink = target if isinstance(target, Sink) else JsonlSink(target)
     _active = Telemetry(sink)
+    atexit.register(_active.close)
     return _active
 
 

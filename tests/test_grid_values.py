@@ -81,8 +81,10 @@ def test_a_pending_tile_holds_no_more_than_a_laid_out_one(
     element table and takes (two int64 arrays) until its first plane
     read; that costs no more memory than the laid-out planes it waits
     for (traced allocations per matrix, 20 uniform 128 x 128 matrices
-    with 1,800 non-zeros, on either walk)."""
+    with 1,800 non-zeros, on the kernels or the NumPy build and Python
+    walk)."""
     if not kernel:
+        monkeypatch.setattr(walk_kernel, "compiled_build", lambda: None)
         monkeypatch.setattr(walk_kernel, "compiled_walk", lambda: None)
     matrices = [uniform_random(128, 128, 1_800, seed=s) for s in range(20)]
     runner = PipelineRunner(store=ArtifactStore(capacity=256))

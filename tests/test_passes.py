@@ -11,6 +11,8 @@ telemetry spans, and the CLI surfaces.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import telemetry
 from repro.cli import main
@@ -30,6 +32,7 @@ from repro.scheduling.passes import (
     schedules_identical,
     validate_pass_name,
 )
+from repro.scheduling.passes.fingerprint import encode
 from repro.scheduling.pe_aware import schedule_pe_aware_tile
 from repro.scheduling.registry import get_scheme, register_scheme, unregister
 from repro.scheduling.row_based import schedule_row_based_tile
@@ -358,3 +361,117 @@ class TestCli:
         assert main([
             "reschedule", "reorientation_4", "--edits", "0",
         ]) == 1
+
+
+# -- digest encoding: chained tails and array buffers ------------------------
+
+
+def _reference_encode(value):
+    """The canonical encoding as it was written before arrays were fed
+    as buffers: every array copied with ``tobytes()``."""
+    if isinstance(value, np.ndarray):
+        return (b"\x06a" + str(value.dtype).encode()
+                + str(value.shape).encode()
+                + np.ascontiguousarray(value).tobytes() + b"\x1f")
+    if isinstance(value, tuple):
+        return b"\x09l" + b"".join(map(_reference_encode, value)) + b"\x1f"
+    return encode(value)
+
+
+ARRAYS = [
+    np.arange(12, dtype=np.int64),
+    np.arange(12, dtype=np.int32),
+    np.linspace(0, 1, 12, dtype=np.float32),
+    np.linspace(0, 1, 12),
+    np.arange(12) % 3 == 0,
+    np.arange(12, dtype=np.uint8),
+    np.arange(12, dtype=">i4"),
+    np.arange(24.0).reshape(4, 6)[:, ::2],  # not contiguous
+    np.arange(24).reshape(4, 6).T,
+    np.arange(12)[::-1],
+    np.array(2.5),
+    np.empty((0, 3)),
+]
+
+
+@pytest.mark.parametrize("array", ARRAYS, ids=range(len(ARRAYS)))
+def test_an_array_digests_as_its_copied_bytes(array):
+    import hashlib
+
+    from repro.scheduling.passes.fingerprint import fingerprint
+
+    expected = hashlib.sha256(_reference_encode(array)).hexdigest()
+    assert fingerprint(array) == expected
+    assert encode(array) == _reference_encode(array)
+    assert fingerprint("x", tail=encode(array, (array, 3))) == fingerprint(
+        "x", array, (array, 3)
+    )
+
+
+def test_every_pass_chains_by_its_encoded_signature():
+    from repro.scheduling.passes.fingerprint import fingerprint
+
+    for name in known_pass_names():
+        (schedule_pass,) = resolve_passes(
+            [name], {"migration_span": 1, "steal_tries": 8,
+                     "split_threshold": 7}
+        )
+        encoded = schedule_pass.encoded_signature()
+        assert encoded is schedule_pass.encoded_signature()
+        assert encoded == _reference_encode(schedule_pass.signature())
+        assert fingerprint("pass", "d0", tail=encoded) == fingerprint(
+            "pass", "d0", schedule_pass.signature()
+        )
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["crhcs", "pe_aware"]))
+def test_drawn_tiles_chain_the_digests_they_did(seed, scheme):
+    """A tile's chain, as the pass manager computes it, equals the chain
+    of ``fingerprint("pass", upstream, signature)`` over copied bytes."""
+    import hashlib
+
+    from repro.scheduling.passes.fingerprint import (
+        fingerprint_config,
+        fingerprint_tile,
+    )
+
+    class Recorder(ArtifactStore):
+        def __init__(self):
+            super().__init__()
+            self.keys = []
+
+        def get(self, kind, key):
+            self.keys.append(key)
+            return super().get(kind, key)
+
+    rng = np.random.default_rng(seed)
+    matrix = COOMatrix(
+        (300, 90), rng.integers(0, 300, 400), rng.integers(0, 90, 400),
+        rng.uniform(0.5, 1.5, 400),
+    )
+    spec = get_scheme(scheme)
+    config = spec.default_config
+    store = Recorder()
+    spec.scheduler(matrix, config, max_rows_per_pass=100, _pass_cache=store)
+    plan = spec.plan(config, {})
+    config_digest = fingerprint_config(config)
+    expected = []
+    for tile in tile_matrix(matrix, config, 100):
+        digest = hashlib.sha256(
+            _reference_encode("tile") + _reference_encode(config_digest)
+            + b"".join(_reference_encode(v) for v in (
+                tile.row_base, tile.col_base, tile.n_rows, tile.n_cols,
+                tile.rows, tile.cols, tile.values))
+        ).hexdigest()
+        assert digest == fingerprint_tile(tile, config_digest)
+        chain = []
+        for schedule_pass in plan:
+            digest = hashlib.sha256(
+                _reference_encode("pass") + _reference_encode(digest)
+                + _reference_encode(schedule_pass.signature())
+            ).hexdigest()
+            chain.append(digest)
+        expected += [key for key, p in zip(reversed(chain), reversed(plan))
+                     if p.cacheable]
+    assert store.keys == expected

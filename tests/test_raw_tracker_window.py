@@ -112,3 +112,51 @@ class TestTiling:
         assert sorted({t.row_base for t in tiles}) == [
             0, 100, 200, 300, 400, 500
         ]
+
+
+class TestOneTileMatrix:
+    """A matrix that is one tile takes a path with no sort; its tile
+    equals the sorted path's, field for field and dtype for dtype."""
+
+    CASES = {
+        "empty": ((10, 10), [], []),
+        "one-element": ((7, 5), [3], [4]),
+        "unsorted": ((64, 64), [9, 2, 60, 2, 9, 0, 33], [4, 63, 0, 5, 4, 0, 9]),
+        "window-edge": ((256, 64), [255, 0, 128], [63, 0, 32]),
+        "one-row-one-col": ((1, 1), [0, 0], [0, 0]),
+    }
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_fields_equal_the_sorted_path(self, small_serpens, case, dtype):
+        from repro.formats.coo import COOMatrix
+        from repro.scheduling.window import _sorted_tiles
+
+        shape, rows, cols = self.CASES[case]
+        values = np.linspace(0.5, 1.5, len(rows)).astype(np.float32)
+        matrix = COOMatrix(shape, np.array(rows, dtype=dtype),
+                           np.array(cols, dtype=dtype), values)
+        (tile,) = tile_matrix(matrix, small_serpens)
+        (reference,) = _sorted_tiles(
+            matrix, small_serpens.row_window, small_serpens.column_window
+        )
+        for field in ("row_base", "col_base", "n_rows", "n_cols"):
+            assert getattr(tile, field) == getattr(reference, field)
+        for field in ("rows", "cols", "values"):
+            got, want = getattr(tile, field), getattr(reference, field)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+            # Copies: an in-place edit of the matrix leaves the tile.
+            assert not np.shares_memory(got, getattr(matrix, field))
+
+    def test_one_row_past_the_window_takes_the_sorted_path(
+        self, small_serpens
+    ):
+        from repro.formats.coo import COOMatrix
+
+        matrix = COOMatrix((257, 64), np.array([256, 0]), np.array([63, 0]),
+                           np.array([2.0, 1.0]))
+        tiles = tile_matrix(matrix, small_serpens)
+        assert [(t.row_base, t.rows.tolist()) for t in tiles] == [
+            (0, [0]), (256, [0])
+        ]

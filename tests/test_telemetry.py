@@ -2,7 +2,12 @@
 
 import json
 import logging
+import os
+import subprocess
+import sys
+import threading
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +32,7 @@ from repro.telemetry.schema import (
     validate_record,
     validate_records,
 )
+from repro.telemetry.sinks import JsonlSink, MemorySink, Sink
 from repro.telemetry.summarize import summarize_records
 
 SPEC = corpus_specs(count=1, nnz_cap=2_000)[0]
@@ -213,6 +219,91 @@ def _doubling_worker(value):
         t.counter("test.items", 1)
         t.counter("test.value_sum", value)
     return value * 2
+
+
+class TestJsonlBatching:
+    """The JSONL sink writes records a batch at a time, off the request
+    path, with the lines per-record writing gave."""
+
+    class _Tee(Sink):
+        """Hands every record to both sinks, in the registry's order."""
+
+        def __init__(self, *sinks):
+            self.sinks = sinks
+
+        def write(self, record):
+            for sink in self.sinks:
+                sink.write(record)
+
+        def flush(self):
+            for sink in self.sinks:
+                sink.flush()
+
+        def close(self):
+            for sink in self.sinks:
+                sink.close()
+
+    def test_a_batched_trace_equals_per_record_lines(self, tmp_path):
+        trace = tmp_path / "batched.jsonl"
+        memory = MemorySink()
+        batched = JsonlSink(str(trace))
+        registry = telemetry.Telemetry(self._Tee(memory, batched))
+
+        def work(worker):
+            for i in range(200):
+                with registry.span("work", worker=worker, i=i):
+                    registry.counter("items", 1, worker=worker)
+                    registry.histogram("latency_ms", 0.5 + i)
+                registry.event("tick", worker=worker, note="é\n\"")
+
+        threads = [threading.Thread(target=work, args=(w,)) for w in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        registry.close()
+        per_record = [
+            json.dumps(record, separators=(",", ":"), sort_keys=False)
+            for record in memory.records
+        ]
+        assert trace.read_text(encoding="utf-8").splitlines() == per_record
+        kinds = {record["kind"] for record in memory.records}
+        assert kinds == {"span", "event", "counter", "hist"}
+        assert len(per_record) > 2 * JsonlSink.BATCH_SIZE
+        assert [r["seq"] for r in memory.records] == list(
+            range(len(per_record))
+        )
+
+    def test_the_batch_stays_bounded(self, tmp_path):
+        sink = JsonlSink(str(tmp_path / "t.jsonl"))
+        registry = telemetry.Telemetry(sink)
+        for i in range(1_000):
+            registry.event("e", i=i)
+            assert len(sink._batch) < JsonlSink.BATCH_SIZE
+        written = 1_000 - 1_000 % JsonlSink.BATCH_SIZE
+        assert len((tmp_path / "t.jsonl").read_text().splitlines()) == written
+        registry.close()
+        assert len((tmp_path / "t.jsonl").read_text().splitlines()) == 1_000
+
+    def test_an_exit_without_close_leaves_every_record(self, tmp_path):
+        trace = tmp_path / "exit.jsonl"
+        events = 3 * JsonlSink.BATCH_SIZE + 5
+        script = (
+            "from repro import telemetry\n"
+            f"active = telemetry.configure({str(trace)!r})\n"
+            f"for i in range({events}):\n"
+            "    active.event('e', i=i)\n"
+            "active.counter('c', 2)\n"
+        )
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        env.pop("REPRO_TELEMETRY", None)
+        subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                       timeout=120)
+        records = [json.loads(line) for line in trace.read_text().splitlines()]
+        assert [r["seq"] for r in records] == list(range(events + 1))
+        assert [r["attrs"]["i"] for r in records[:-1]] == list(range(events))
+        assert records[-1]["name"] == "c" and records[-1]["value"] == 2
 
 
 class TestParallelMerge:
